@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "wire/codec.hpp"
 
 namespace rr::harness {
 namespace {
@@ -27,7 +26,7 @@ class ShardContext final : public net::Context {
   void send(ProcessId to, wire::Message msg) override {
     outer_.send(layout_.to_physical(shard_, to),
                 wire::ShardMsg{static_cast<RegisterId>(shard_),
-                               wire::encode(msg)});
+                               std::move(msg)});
   }
 
  private:
@@ -46,17 +45,15 @@ const wire::ShardMsg& envelope_of(const wire::Message& msg) {
   return *env;
 }
 
-/// Decodes an envelope's payload and delivers it to `inner` as a step of
-/// logical process `logical_self` in `shard`'s emulation.
+/// Delivers an envelope's inner message to `inner` as a step of logical
+/// process `logical_self` in `shard`'s emulation.
 void deliver_unwrapped(net::Process& inner, const ShardLayout& layout,
                        int shard, ProcessId logical_self, net::Context& outer,
                        ProcessId from, const wire::ShardMsg& env) {
   RR_ASSERT_MSG(static_cast<int>(env.reg) == shard,
                 "shard envelope routed to the wrong register instance");
-  const auto inner_msg = wire::decode(env.payload);
-  RR_ASSERT_MSG(inner_msg.has_value(), "shard payload must decode");
   ShardContext ctx(outer, layout, shard, logical_self);
-  inner.on_message(ctx, layout.to_logical(from), *inner_msg);
+  inner.on_message(ctx, layout.to_logical(from), *env.inner);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // A sharded deployment runs K registers ("shards"), each with its own
 // writer and R readers, all served by the same S base-object processes.
 // Each base-object process hosts K independent register instances (the
-// paper's automaton, unmodified); every wire message travels wrapped in a
+// paper's automaton, unmodified); every message travels wrapped in a
 // wire::ShardMsg tagging the register it belongs to, and the object host
 // demultiplexes on that tag.
 //
@@ -15,6 +15,12 @@
 // unwraps the ShardMsg envelope. Safety per shard therefore follows
 // directly from the single-register protocol's safety -- shards share
 // nothing but the transport.
+//
+// The envelope holds the typed inner message: sending moves the message
+// into it, and delivery hands the automaton a reference to it. The
+// adapters never run the codec; bytes exist only where a backend needs
+// them (net frames, reserialize, byte accounting), and there the codec
+// encodes and decodes the envelope with its inner message inline.
 //
 // Physical process id layout for K shards, R readers/shard, S objects:
 //   writers   0 .. K-1          (shard s's writer is pid s)

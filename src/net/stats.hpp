@@ -1,9 +1,10 @@
-// Traffic statistics shared by every backend (the discrete-event simulator
-// and the threaded cluster account messages identically, so experiments can
-// compare byte/message counts across execution substrates).
+// Traffic statistics shared by every backend (the discrete-event simulator,
+// the threaded cluster and the socket mesh account messages identically, so
+// experiments can compare byte/message counts across execution substrates).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <variant>
 
@@ -32,9 +33,27 @@ struct NetStats {
   // Regular-storage history shipping (zero for every other protocol):
   // slots carried by HIST_ACK replies, and how many of those replies were
   // flagged resyncs (hard-capped object evicted past a live reader's
-  // watermark). Both backends account these at the same send boundary.
+  // watermark). Every backend accounts these in count_send().
   std::uint64_t hist_slots_shipped{0};
   std::uint64_t hist_resyncs{0};
+
+  /// Send-side accounting, the one copy every backend calls at its send
+  /// boundary: counts `msg` by type with `bytes` encoded bytes (0 when the
+  /// backend does not account bytes) and the history slots it ships. A
+  /// HIST_ACK is found inside a shard envelope too, so sharded regular
+  /// deployments count their slots like unsharded ones.
+  void count_send(const wire::Message& msg, std::size_t bytes) {
+    messages_sent++;
+    messages_by_type[msg.index()]++;
+    bytes_sent += bytes;
+    bytes_by_type[msg.index()] += bytes;
+    const wire::Message* m = &msg;
+    if (const auto* env = std::get_if<wire::ShardMsg>(m)) m = env->inner.get();
+    if (const auto* ha = std::get_if<wire::HistReadAckMsg>(m)) {
+      hist_slots_shipped += ha->history.size();
+      hist_resyncs += ha->resync;
+    }
+  }
 };
 
 }  // namespace rr::net

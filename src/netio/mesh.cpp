@@ -328,16 +328,7 @@ void Mesh::route(ProcessId from, ProcessId to, wire::Message msg) {
   // encoded_size() (pinned by the codec tests), so net byte counts stay
   // comparable with the DES and the cluster.
   const std::string payload = wire::encode(msg);
-  st.messages_sent++;
-  st.messages_by_type[msg.index()]++;
-  if (opts_.account_bytes) {
-    st.bytes_sent += payload.size();
-    st.bytes_by_type[msg.index()] += payload.size();
-  }
-  if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
-    st.hist_slots_shipped += ha->history.size();
-    st.hist_resyncs += ha->resync;
-  }
+  st.count_send(msg, opts_.account_bytes ? payload.size() : 0);
   if (crashed(from) || crashed(to)) {
     st.messages_dropped++;
     return;
@@ -405,7 +396,7 @@ void Mesh::route(ProcessId from, ProcessId to, wire::Message msg) {
   if (deferred) wake(sender);
 }
 
-void Mesh::send_frame(Node& n, ProcessId to, std::string frame) {
+void Mesh::send_frame(Node& n, ProcessId to, std::string_view frame) {
   append_frame(n, to, frame);
   Peer& p = n.peers[static_cast<std::size_t>(to)];
   if (p.ready && p.fd.valid()) flush_peer(n, to);
@@ -878,7 +869,7 @@ void Mesh::fire_timers(Node& n) {
     if (item.is_write) {
       // A reorder-deferred frame: enters the socket now (still pending
       // until the receiving proxy delivers or drops it).
-      send_frame(n, item.to, std::move(item.bytes));
+      send_frame(n, item.to, item.bytes);
     } else {
       deliver_fn_step(n, std::move(item.fn));
     }

@@ -227,7 +227,7 @@ class Mesh {
 
   // Send path (runs on the thread currently stepping `from`).
   void route(ProcessId from, ProcessId to, wire::Message msg);
-  void send_frame(Node& n, ProcessId to, std::string frame);
+  void send_frame(Node& n, ProcessId to, std::string_view frame);
   void append_frame(Node& n, ProcessId to, std::string_view frame);
 
   // Node event loop.

@@ -500,17 +500,7 @@ void Cluster::route(ProcessId from, ProcessId to, wire::Message msg) {
   // Sender-side accounting: only the thread currently stepping `from`
   // calls route() for it, so its slot counters need no lock.
   auto& sent = slots_[static_cast<std::size_t>(from)]->local_stats;
-  sent.messages_sent++;
-  sent.messages_by_type[msg.index()]++;
-  if (opts_.account_bytes) {
-    const std::size_t n = wire::encoded_size(msg);
-    sent.bytes_sent += n;
-    sent.bytes_by_type[msg.index()] += n;
-  }
-  if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
-    sent.hist_slots_shipped += ha->history.size();
-    sent.hist_resyncs += ha->resync;
-  }
+  sent.count_send(msg, opts_.account_bytes ? wire::encoded_size(msg) : 0);
   if (crashed(from) || crashed(to)) {
     sent.messages_dropped++;
     return;

@@ -263,17 +263,7 @@ void World::release_all(ProcessId pid) {
 
 void World::do_send(ProcessId from, ProcessId to, wire::Message msg) {
   RR_ASSERT(to >= 0 && to < num_processes());
-  stats_.messages_sent++;
-  stats_.messages_by_type[msg.index()]++;
-  if (opts_.account_bytes) {
-    const std::size_t n = wire::encoded_size(msg);
-    stats_.bytes_sent += n;
-    stats_.bytes_by_type[msg.index()] += n;
-  }
-  if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
-    stats_.hist_slots_shipped += ha->history.size();
-    stats_.hist_resyncs += ha->resync;
-  }
+  stats_.count_send(msg, opts_.account_bytes ? wire::encoded_size(msg) : 0);
   // Link faults fire at send time, before hold buffering, so a held channel
   // still loses/duplicates traffic. Draw order is fixed (loss, then
   // duplicate, then per-copy reorder at scheduling) from the dedicated

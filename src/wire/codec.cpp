@@ -1,8 +1,8 @@
 #include "wire/codec.hpp"
 
 #include <cstdint>
-#include <cstring>
-#include <limits>
+#include <memory>
+#include <string_view>
 
 namespace rr::wire {
 namespace {
@@ -11,26 +11,53 @@ namespace {
 // Primitive writer / reader
 // ---------------------------------------------------------------------------
 
+template <class W>
+void put_message(W& w, const Message& m);
+
+/// Stores `v` little-endian at `p`.
+template <class T>
+void store_le(char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+/// Materializing writer. encode() reserves the exact encoded_size() up
+/// front, and fixed-width fields are appended whole, so a message is
+/// written without reallocation and without per-byte appends.
 class ByteWriter {
  public:
+  explicit ByteWriter(std::size_t size) { out_.reserve(size); }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
 
   void bytes(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     out_.append(s);
   }
 
+  /// A length-prefixed nested message: the length is backpatched once the
+  /// inner encoding is written.
+  void nested(const Message& m) {
+    const std::size_t at = out_.size();
+    u32(0);
+    put_message(*this, m);
+    store_le(out_.data() + at,
+             static_cast<std::uint32_t>(out_.size() - at - 4));
+  }
+
   [[nodiscard]] std::string take() && { return std::move(out_); }
 
  private:
+  template <class T>
+  void fixed(T v) {
+    char buf[sizeof(T)];
+    store_le(buf, v);
+    out_.append(buf, sizeof(T));
+  }
+
   std::string out_;
 };
 
@@ -43,6 +70,10 @@ class SizeWriter {
   void u32(std::uint32_t) { n_ += 4; }
   void u64(std::uint64_t) { n_ += 8; }
   void bytes(const std::string& s) { n_ += 4 + s.size(); }
+  void nested(const Message& m) {
+    n_ += 4;
+    put_message(*this, m);
+  }
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -50,9 +81,10 @@ class SizeWriter {
   std::size_t n_ = 0;
 };
 
+/// Bounds-checked reader over a borrowed byte view.
 class ByteReader {
  public:
-  explicit ByteReader(const std::string& in) : in_(in) {}
+  explicit ByteReader(std::string_view in) : in_(in) {}
 
   bool u8(std::uint8_t& v) {
     if (pos_ + 1 > in_.size()) return fail();
@@ -60,32 +92,23 @@ class ByteReader {
     return true;
   }
 
-  bool u32(std::uint32_t& v) {
-    if (pos_ + 4 > in_.size()) return fail();
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in_[pos_++]))
-           << (8 * i);
-    }
-    return true;
-  }
+  bool u32(std::uint32_t& v) { return fixed(v); }
+  bool u64(std::uint64_t& v) { return fixed(v); }
 
-  bool u64(std::uint64_t& v) {
-    if (pos_ + 8 > in_.size()) return fail();
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in_[pos_++]))
-           << (8 * i);
-    }
+  /// A u32 length prefix and that many bytes, borrowed from the input.
+  bool view(std::string_view& s) {
+    std::uint32_t n = 0;
+    if (!u32(n)) return false;
+    if (pos_ + n > in_.size()) return fail();
+    s = in_.substr(pos_, n);
+    pos_ += n;
     return true;
   }
 
   bool bytes(std::string& s) {
-    std::uint32_t n = 0;
-    if (!u32(n)) return false;
-    if (pos_ + n > in_.size()) return fail();
-    s.assign(in_, pos_, n);
-    pos_ += n;
+    std::string_view v;
+    if (!view(v)) return false;
+    s.assign(v);
     return true;
   }
 
@@ -93,12 +116,24 @@ class ByteReader {
   [[nodiscard]] bool ok() const { return ok_; }
 
  private:
+  template <class T>
+  bool fixed(T& v) {
+    if (pos_ + sizeof(T) > in_.size()) return fail();
+    v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<unsigned char>(in_[pos_ + i]))
+           << (8 * i);
+    }
+    pos_ += sizeof(T);
+    return true;
+  }
+
   bool fail() {
     ok_ = false;
     return false;
   }
 
-  const std::string& in_;
+  std::string_view in_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
@@ -441,13 +476,26 @@ bool get_body(ByteReader& r, ScGossipMsg& m) {
   return r.u64(m.ts) && get(r, m.pw) && get(r, m.w);
 }
 
+// The inner message is written inline as a length-prefixed nested
+// encoding: the same bytes as a u32-prefixed string holding encode(inner).
 template <class W>
 void put_body(W& w, const ShardMsg& m) {
   w.u32(m.reg);
-  w.bytes(m.payload);
+  w.nested(*m.inner);
 }
 bool get_body(ByteReader& r, ShardMsg& m) {
-  return r.u32(m.reg) && r.bytes(m.payload);
+  std::string_view bytes;
+  if (!r.u32(m.reg) || !r.view(bytes)) return false;
+  // An envelope never nests another: rejecting that up front bounds the
+  // decoder's recursion on hostile input to one level.
+  if (!bytes.empty() &&
+      static_cast<std::uint8_t>(bytes.front()) == message_index<ShardMsg>()) {
+    return false;
+  }
+  auto inner = decode(bytes);
+  if (!inner) return false;
+  m.inner = std::make_shared<const Message>(std::move(*inner));
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -470,16 +518,21 @@ std::optional<Message> decode_alternative(std::uint8_t tag, ByteReader& r) {
   }
 }
 
+template <class W>
+void put_message(W& w, const Message& m) {
+  w.u8(static_cast<std::uint8_t>(m.index()));
+  std::visit([&](const auto& body) { put_body(w, body); }, m);
+}
+
 }  // namespace
 
 std::string encode(const Message& m) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(m.index()));
-  std::visit([&](const auto& body) { put_body(w, body); }, m);
+  ByteWriter w(encoded_size(m));
+  put_message(w, m);
   return std::move(w).take();
 }
 
-std::optional<Message> decode(const std::string& bytes) {
+std::optional<Message> decode(std::string_view bytes) {
   ByteReader r(bytes);
   std::uint8_t tag = 0;
   if (!r.u8(tag)) return std::nullopt;
@@ -488,8 +541,7 @@ std::optional<Message> decode(const std::string& bytes) {
 
 std::size_t encoded_size(const Message& m) {
   SizeWriter w;
-  w.u8(static_cast<std::uint8_t>(m.index()));
-  std::visit([&](const auto& body) { put_body(w, body); }, m);
+  put_message(w, m);
   return w.size();
 }
 

@@ -10,14 +10,19 @@
 //   1. byte accounting for the Section 5.1 message-size experiments,
 //   2. exact state/message snapshots in the lower-bound orchestrator
 //      (indistinguishability of runs is checked on encoded bytes),
-//   3. a realistic substrate boundary: both runtimes can optionally round-
+//   3. a realistic substrate boundary: the net backend frames encode()
+//      bytes over sockets, and the in-memory runtimes can optionally round-
 //      trip every message through bytes to prove protocol code never relies
 //      on object identity.
+//
+// A shard envelope (ShardMsg) is encoded with its inner message inline,
+// length-prefixed; decode() rejects an envelope nested in an envelope.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "wire/messages.hpp"
 
@@ -26,8 +31,9 @@ namespace rr::wire {
 /// Serializes a message (always succeeds).
 [[nodiscard]] std::string encode(const Message& m);
 
-/// Parses a message; nullopt on malformed input.
-[[nodiscard]] std::optional<Message> decode(const std::string& bytes);
+/// Parses a message from a borrowed byte view (nothing is copied but the
+/// message's own fields); nullopt on malformed input.
+[[nodiscard]] std::optional<Message> decode(std::string_view bytes);
 
 /// Size in bytes of the encoded form (the metric used for bytes-on-wire
 /// accounting).

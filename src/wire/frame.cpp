@@ -51,13 +51,11 @@ bool FrameDecoder::feed(const char* data, std::size_t n,
       return false;
     }
     if (buf_.size() - head_ < kFrameHeaderBytes + len) break;  // partial
-    // decode() takes const std::string& -- one payload copy per frame. The
-    // net path allocates per message anyway (sockets dominate); the DES hot
-    // path never goes through here.
-    const std::string payload =
-        buf_.substr(head_ + kFrameHeaderBytes, len);
+    // Decode straight from the receive buffer: no payload copy.
+    auto msg = decode(
+        std::string_view(buf_).substr(head_ + kFrameHeaderBytes, len));
     head_ += kFrameHeaderBytes + len;
-    if (auto msg = decode(payload)) {
+    if (msg) {
       stats_.frames++;
       sink(std::move(*msg));
     } else {

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -479,23 +480,6 @@ struct ScGossipMsg {
 };
 
 // ---------------------------------------------------------------------------
-// Multi-register sharding (src/harness/shard.*)
-// ---------------------------------------------------------------------------
-
-/// Shard envelope: tags a protocol message with the register instance it
-/// belongs to. Sharded deployments run K independent SWMR emulations over
-/// the same base-object processes; every message between a shard's clients
-/// and the objects travels wrapped in a ShardMsg, and the object host
-/// demultiplexes on `reg`. The payload is the inner message's canonical
-/// encoding, so the envelope is a real wire format (byte accounting and
-/// reserialization see exactly what a network would carry).
-struct ShardMsg {
-  RegisterId reg{0};
-  std::string payload{};  ///< wire::encode() of the inner Message
-  friend bool operator==(const ShardMsg&, const ShardMsg&) = default;
-};
-
-// ---------------------------------------------------------------------------
 
 /// Reader round k in {1,2} of the *regular* storage. Replaces ReadMsg for
 /// regular reads (ReadMsg stays the safe-storage request, byte-identical to
@@ -516,6 +500,8 @@ struct HistReadMsg {
 
 // ---------------------------------------------------------------------------
 
+struct ShardMsg;  // the envelope holds a Message, so it is defined below
+
 // New alternatives go at the END: the codec tag and the NetStats per-type
 // indices are the variant index, so appending preserves every existing
 // wire byte and accounting slot.
@@ -525,6 +511,47 @@ using Message = std::variant<
     BlWriteMsg, BlWriteAckMsg, FwWriteMsg, FwWriteAckMsg, PollMsg, PollAckMsg,
     AuthWriteMsg, AuthWriteAckMsg, AuthReadMsg, AuthReadAckMsg,
     ScReadMsg, ScPushMsg, ScGossipMsg, ShardMsg, HistReadMsg>;
+
+// ---------------------------------------------------------------------------
+// Multi-register sharding (src/harness/shard.*)
+// ---------------------------------------------------------------------------
+
+/// Shard envelope: tags a protocol message with the register instance it
+/// belongs to. Sharded deployments run K independent SWMR emulations over
+/// the same base-object processes; every message between a shard's clients
+/// and the objects travels wrapped in a ShardMsg, and the object host
+/// demultiplexes on `reg`.
+///
+/// The envelope holds the typed inner message, immutable and shared by
+/// every copy of the envelope (a duplicated or held message costs a
+/// reference count, not a deep copy), so an in-memory backend hands the
+/// automaton the very message its peer sent. Bytes exist only where they
+/// are needed -- the net backend's frames, the reserialize round trip and
+/// encoded_size() byte accounting -- and there the codec writes the inner
+/// message inline as a length-prefixed nested encoding, so the envelope is
+/// still a real wire format. The decoder rejects an envelope nested in an
+/// envelope.
+struct ShardMsg {
+  ShardMsg() = default;  ///< empty envelope (`inner` is null); decode fills it
+  /// Moves `msg` into a fresh shared payload for register `r`.
+  ShardMsg(RegisterId r, Message msg);
+
+  RegisterId reg{0};
+  std::shared_ptr<const Message> inner{};
+
+  /// Envelopes compare by register and inner message, not by payload
+  /// identity.
+  friend bool operator==(const ShardMsg& a, const ShardMsg& b);
+};
+
+inline ShardMsg::ShardMsg(RegisterId r, Message msg)
+    : reg(r), inner(std::make_shared<const Message>(std::move(msg))) {}
+
+inline bool operator==(const ShardMsg& a, const ShardMsg& b) {
+  if (a.reg != b.reg) return false;
+  if (a.inner == nullptr || b.inner == nullptr) return a.inner == b.inner;
+  return *a.inner == *b.inner;
+}
 
 /// Compile-time variant index of a Message alternative. The canonical way
 /// to index NetStats::messages_by_type / bytes_by_type: codec tags equal

@@ -52,7 +52,7 @@ std::vector<Message> all_message_samples() {
       ScReadMsg{15},
       ScPushMsg{15, 3, TsVal{2, "s"}, TsVal{2, "s"}},
       ScGossipMsg{9, TsVal{9, "g"}, TsVal{8, "g8"}},
-      ShardMsg{3, encode(Message{WAckMsg{5}})},
+      ShardMsg{3, WAckMsg{5}},
       HistReadMsg{1, 79, 5, 8},
   };
 }
@@ -88,6 +88,33 @@ TEST(CodecTest, DistinctMessagesEncodeDistinctly) {
       EXPECT_NE(encode(samples[i]), encode(samples[k]));
     }
   }
+}
+
+TEST(CodecTest, ShardEnvelopeCopiesSharePayload) {
+  const ShardMsg a{1, ReadMsg{1, 7, 0}};
+  const ShardMsg b = a;
+  EXPECT_EQ(a.inner, b.inner) << "a copy must share, not deep-copy";
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, (ShardMsg{2, ReadMsg{1, 7, 0}}));
+  EXPECT_NE(a, (ShardMsg{1, ReadMsg{2, 7, 0}}));
+  EXPECT_NE(a, ShardMsg{});
+}
+
+TEST(CodecTest, ShardEnvelopeWithUndecodableInnerRejected) {
+  std::string bytes = encode(Message{ShardMsg{3, WAckMsg{5}}});
+  constexpr std::size_t kInnerTag = 1 + 4 + 4;  // tag, register, length
+  bytes[kInnerTag] = '\xff';                    // no such message type
+  EXPECT_FALSE(decode(bytes).has_value());
+  // An inner message one byte short, with the envelope's length prefix
+  // adjusted to match: the framing is consistent, the inner is not.
+  std::string truncated = encode(Message{ShardMsg{3, WAckMsg{5}}});
+  truncated.pop_back();
+  truncated[5] = '\x08';
+  EXPECT_FALSE(decode(truncated).has_value());
+  // An empty inner message.
+  EXPECT_FALSE(decode(std::string("\x18\x03\x00\x00\x00\x00\x00\x00\x00",
+                                  9))
+                   .has_value());
 }
 
 TEST(CodecTest, EmptyInputRejected) {
@@ -162,7 +189,7 @@ TEST(CodecTest, FuzzBitFlipsOnValidMessages) {
 
 // ---------------------------------------------------------------------------
 // encoded_size property test: the counting visitor must agree with the
-// materializing encoder on every one of the 24 message variants, across
+// materializing encoder on every one of the 26 message variants, across
 // randomized payloads (empty/huge strings, nil/full tsrarrays, histories).
 // ---------------------------------------------------------------------------
 
@@ -240,7 +267,12 @@ Message random_message(std::size_t variant, Rng& rng) {
     case 21: return ScReadMsg{u64v()};
     case 22: return ScPushMsg{u64v(), u32v(), random_tsval(rng), random_tsval(rng)};
     case 23: return ScGossipMsg{u64v(), random_tsval(rng), random_tsval(rng)};
-    case 24: return ShardMsg{u32v(), random_value(rng)};
+    case 24: {
+      // A random non-envelope inner message (decode rejects nesting).
+      auto inner = rng.index(std::variant_size_v<Message> - 1);
+      if (inner >= message_index<ShardMsg>()) ++inner;
+      return ShardMsg{u32v(), random_message(inner, rng)};
+    }
     case 25: return HistReadMsg{u8v(), u64v(), u64v(), u64v()};
     default: break;
   }
@@ -264,6 +296,26 @@ TEST(CodecTest, EncodedSizePropertyAllVariants) {
       EXPECT_EQ(*decoded, msg) << type_name(msg);
     }
   }
+}
+
+TEST(CodecTest, NestedEnvelopesEncodeButDecodeRejectsThem) {
+  // The encoder, and the counting visitor with it, follows any nesting
+  // depth; the decoder refuses an envelope inside an envelope at the first
+  // level, which bounds its recursion on hostile input.
+  Rng rng(5150);
+  for (int iter = 0; iter < 200; ++iter) {
+    Message msg = random_message(rng.index(std::variant_size_v<Message>), rng);
+    const auto depth = 2 + rng.index(3);
+    for (std::size_t d = 0; d < depth; ++d) {
+      msg = ShardMsg{static_cast<RegisterId>(rng.uniform(0, 9)), std::move(msg)};
+    }
+    const std::string bytes = encode(msg);
+    EXPECT_EQ(encoded_size(msg), bytes.size()) << "iter " << iter;
+    EXPECT_FALSE(decode(bytes).has_value()) << "iter " << iter;
+  }
+  Message deep = WAckMsg{1};
+  for (int i = 0; i < 1000; ++i) deep = ShardMsg{0, std::move(deep)};
+  EXPECT_FALSE(decode(encode(deep)).has_value());
 }
 
 TEST(CodecTest, EncodedSizeOfDegenerateShapes) {

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
 
+#include "checker/history.hpp"
 #include "harness/chaos.hpp"
 #include "harness/deployment.hpp"
 #include "harness/protocol.hpp"
 #include "harness/shard.hpp"
 #include "harness/workload.hpp"
+#include "sim/world.hpp"
+#include "wire/codec.hpp"
 
 namespace rr::harness {
 namespace {
@@ -121,6 +125,28 @@ TEST_P(CrossBackendEveryProtocol, ShardedDeploymentPassesPerShardChecks) {
   }
 }
 
+TEST_P(CrossBackendEveryProtocol, ShardedRegularCountsShippedHistorySlots) {
+  // HIST_ACKs travel inside shard envelopes; the send accounting must look
+  // inside them, or every sharded regular deployment reports 0 slots.
+  DeploymentOptions opts;
+  opts.protocol = Protocol::Regular;
+  opts.backend = GetParam();
+  opts.res = Resilience::optimal(1, 1, 2);
+  opts.shards = 2;
+  opts.seed = 4242;
+  Deployment d(std::move(opts));
+  MixedWorkloadOptions w;
+  w.writes = 6;
+  w.reads_per_reader = 4;
+  mixed_workload(d, w);
+  d.run();
+  EXPECT_TRUE(d.check().ok());
+  // Every HIST_ACK ships at least the object's top slot, and each of the
+  // 2 x 2 x 4 reads collects acks from a quorum in each of its rounds.
+  EXPECT_GE(d.stats().hist_slots_shipped, 2u * 2u * 4u * 3u)
+      << "on " << to_string(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, CrossBackendEveryProtocol,
                          ::testing::Values(BackendKind::Sim,
                                            BackendKind::Threads,
@@ -177,6 +203,109 @@ TEST(ShardedDeterminismTest, SameSeedSameTrafficOnTheDes) {
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
   EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+}
+
+// Sharded DES goldens: a K=4 deployment with a forging object and seeded
+// duplication + reorder, pinned bit for bit, with the codec round trip on
+// every delivery and without it. How the envelope carries its inner
+// message in memory must not move the schedule, the traffic counts, the
+// bytes on the wire or the recorded histories.
+struct ShardedGolden {
+  Protocol protocol;
+  bool reserialize;
+  std::uint64_t schedule_fp;
+  std::uint64_t history_fp;
+  std::uint64_t sent;
+  std::uint64_t delivered;
+  std::uint64_t bytes;
+};
+
+class ShardedGoldenTest : public ::testing::TestWithParam<ShardedGolden> {};
+
+TEST_P(ShardedGoldenTest, ScheduleTrafficAndHistoriesArePinned) {
+  const ShardedGolden& g = GetParam();
+  DeploymentOptions opts;
+  opts.protocol = g.protocol;
+  opts.res = Resilience::optimal(1, 1, 2);
+  opts.shards = 4;
+  opts.seed = 4242;
+  opts.faults = FaultPlan::mixed(1, adversary::StrategyKind::Forger, 0);
+  opts.link_faults.duplicate.p = 0.05;
+  opts.link_faults.reorder.p = 0.1;
+  opts.link_faults.seed = 17;
+  opts.reserialize = g.reserialize;
+  opts.trace_fingerprint = true;
+  Deployment d(std::move(opts));
+  MixedWorkloadOptions w;
+  w.writes = 8;
+  w.reads_per_reader = 6;
+  mixed_workload(d, w);
+  d.run();
+  std::uint64_t history_fp = checker::kHistoryFpSeed;
+  for (int s = 0; s < d.shards(); ++s) {
+    history_fp = checker::fp_fold(history_fp, d.log(s).history_fingerprint());
+  }
+  const auto stats = d.stats();
+  EXPECT_GT(stats.messages_duplicated, 0u);
+  EXPECT_GT(stats.messages_reordered, 0u);
+  EXPECT_EQ(d.world().schedule_fingerprint(), g.schedule_fp);
+  EXPECT_EQ(history_fp, g.history_fp);
+  EXPECT_EQ(stats.messages_sent, g.sent);
+  EXPECT_EQ(stats.messages_delivered, g.delivered);
+  EXPECT_EQ(stats.bytes_sent, g.bytes);
+  EXPECT_TRUE(d.check().ok()) << d.check().summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    K4ForgerDupReorder, ShardedGoldenTest,
+    ::testing::Values(
+        ShardedGolden{Protocol::Safe, false, 0x708ec7965a20313dULL,
+                      0xcd1dd8374c2fef1fULL, 1261, 1320, 86333},
+        ShardedGolden{Protocol::Safe, true, 0x708ec7965a20313dULL,
+                      0xcd1dd8374c2fef1fULL, 1261, 1320, 86333},
+        ShardedGolden{Protocol::Regular, false, 0x22ee30249bc48375ULL,
+                      0x656f28d93ab0a200ULL, 1256, 1315, 105602},
+        ShardedGolden{Protocol::Regular, true, 0x22ee30249bc48375ULL,
+                      0x656f28d93ab0a200ULL, 1256, 1315, 105602}),
+    [](const auto& info) {
+      return std::string(info.param.protocol == Protocol::Safe ? "Safe"
+                                                               : "Regular") +
+             (info.param.reserialize ? "Reserialized" : "Plain");
+    });
+
+TEST(ShardEnvelopeGoldenTest, BytesArePinned) {
+  // ShardMsg{reg 3, WAckMsg{ts 5}}: tag 0x18, the register, the inner
+  // message's length, then the inner message's own encoding.
+  const std::string bytes("\x18\x03\x00\x00\x00\x09\x00\x00\x00"
+                          "\x03\x05\x00\x00\x00\x00\x00\x00\x00",
+                          18);
+  const auto msg = wire::decode(bytes);
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_TRUE(std::holds_alternative<wire::ShardMsg>(*msg));
+  EXPECT_EQ(std::get<wire::ShardMsg>(*msg).reg, 3u);
+  EXPECT_EQ(wire::encode(*msg), bytes);
+  EXPECT_EQ(wire::encoded_size(*msg), bytes.size());
+}
+
+TEST(ShardedWireTest, SendAccountingLooksInsideTheEnvelope) {
+  wire::History h;
+  h[3] = wire::HistEntry{TsVal{3, "v"}, std::nullopt};
+  h[4] = wire::HistEntry{TsVal{4, "w"}, std::nullopt};
+  const wire::HistReadAckMsg ack{1, 7, h, 3, 1};
+  net::NetStats bare;
+  bare.count_send(ack, 11);
+  net::NetStats wrapped;
+  wrapped.count_send(wire::ShardMsg{2, ack}, 22);
+  EXPECT_EQ(bare.hist_slots_shipped, 2u);
+  EXPECT_EQ(bare.hist_resyncs, 1u);
+  EXPECT_EQ(wrapped.hist_slots_shipped, bare.hist_slots_shipped);
+  EXPECT_EQ(wrapped.hist_resyncs, bare.hist_resyncs);
+  EXPECT_EQ(wrapped.messages_sent, 1u);
+  EXPECT_EQ(wrapped.bytes_sent, 22u);
+  EXPECT_EQ(wrapped.messages_by_type[wire::message_index<wire::ShardMsg>()],
+            1u);
+  EXPECT_EQ(wrapped.bytes_by_type[wire::message_index<wire::ShardMsg>()],
+            22u);
 }
 
 TEST(ShardedWireTest, EveryShardedMessageIsAShardEnvelope) {

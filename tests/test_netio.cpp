@@ -111,6 +111,25 @@ TEST(FrameTest, BadPayloadIsCountedAndSkippedStreamContinues) {
   EXPECT_FALSE(dec.poisoned());
 }
 
+TEST(FrameTest, ShardEnvelopeWithCorruptInnerTagIsCountedAndSkipped) {
+  // A hostile envelope passes the framing check but not the codec: it must
+  // be counted and dropped at the decoder, never reach a shard adapter.
+  std::string bad = wire::encode(Message{wire::ShardMsg{1, wire::WAckMsg{4}}});
+  bad[1 + 4 + 4] = '\xff';  // the inner message's tag
+  const Message good = wire::ShardMsg{2, wire::ReadMsg{1, 9, 0}};
+  std::string bytes = wire::wrap_frame(bad);
+  bytes += wire::encode_frame(good);
+  FrameDecoder dec;
+  std::vector<Message> got;
+  EXPECT_TRUE(dec.feed(bytes.data(), bytes.size(),
+                       [&](Message&& m) { got.push_back(std::move(m)); }));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], good);
+  EXPECT_EQ(dec.stats().bad_payload, 1u);
+  EXPECT_EQ(dec.stats().frames, 1u);
+  EXPECT_FALSE(dec.poisoned());
+}
+
 TEST(FrameTest, BadMagicPoisonsTheStream) {
   std::string bytes = wire::encode_frame(Message{wire::WAckMsg{1}});
   bytes += "XXXXXXXX";  // not a header
