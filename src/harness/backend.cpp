@@ -38,6 +38,39 @@ std::string backend_names() {
 
 namespace {
 
+/// Gray on the wall-clock substrates. They cannot stretch channel delays
+/// after the fact, so gray is an injected per-step delay: (factor - 1) x
+/// 20us approximates "answers everything, factor-of-N late" at this
+/// harness's message scale. factor <= 1 clears.
+std::uint64_t gray_step_ns(double factor) {
+  constexpr double kGrayStepNs = 20'000.0;
+  return factor > 1.0 ? static_cast<std::uint64_t>((factor - 1.0) * kGrayStepNs)
+                      : 0;
+}
+
+/// run() on the wall-clock substrates: waits for quiescence for at most
+/// `max_wall_ms` (or `run_timeout_ms` without a deadline). A bounded run
+/// that gives up stops the substrate -- joining its threads makes histories
+/// and stats safe to read -- and sets `timed_out`, which the harness turns
+/// into a liveness verdict; later runs then return at once instead of
+/// burning another deadline. Without a deadline, a stall is fatal
+/// (`stall_msg`). Returns the messages delivered by this run.
+template <class Substrate>
+std::uint64_t run_bounded(Substrate& sub, std::uint64_t max_wall_ms,
+                          std::uint64_t run_timeout_ms, bool& timed_out,
+                          const char* stall_msg) {
+  if (timed_out) return 0;
+  const std::uint64_t before = sub.messages_delivered();
+  const bool bounded = max_wall_ms > 0;
+  if (!sub.run_quiescent(
+          std::chrono::milliseconds(bounded ? max_wall_ms : run_timeout_ms))) {
+    RR_ASSERT_MSG(bounded, stall_msg);
+    timed_out = true;
+    sub.stop();
+  }
+  return sub.messages_delivered() - before;
+}
+
 class SimBackend final : public Backend {
  public:
   explicit SimBackend(const BackendConfig& cfg) {
@@ -132,27 +165,9 @@ class ThreadBackend final : public Backend {
     cluster_->post(at, pid, std::move(fn));
   }
   std::uint64_t run() override {
-    // Once a bounded run has given up, the cluster is stopped: later runs
-    // report immediately instead of burning another full deadline.
-    if (timed_out_) return 0;
-    const std::uint64_t before = cluster_->messages_delivered();
-    const std::uint64_t bound = max_wall_ms_ > 0 ? max_wall_ms_ : run_timeout_;
-    const bool quiesced =
-        cluster_->run_quiescent(std::chrono::milliseconds(bound));
-    if (!quiesced) {
-      if (max_wall_ms_ > 0) {
-        // Graceful degradation: stop the threads (joining them makes the
-        // histories and stats safe to read single-threaded) and let the
-        // harness turn this into a liveness-failure verdict.
-        timed_out_ = true;
-        cluster_->stop();
-        return cluster_->messages_delivered() - before;
-      }
-      RR_ASSERT_MSG(quiesced,
-                    "thread backend failed to quiesce: livelock or a fault "
-                    "plan exceeding the resilience budget");
-    }
-    return cluster_->messages_delivered() - before;
+    return run_bounded(*cluster_, max_wall_ms_, run_timeout_, timed_out_,
+                       "thread backend failed to quiesce: livelock or a "
+                       "fault plan exceeding the resilience budget");
   }
   [[nodiscard]] Time now() const override { return cluster_->now(); }
 
@@ -170,14 +185,7 @@ class ThreadBackend final : public Backend {
     cluster_->set_link_faults(lf);
   }
   void set_gray(ProcessId pid, double factor) override {
-    // Threads can't stretch channel delays after the fact, so gray is an
-    // injected per-step delay: (factor - 1) x 20us approximates "answers
-    // everything, factor-of-N late" at this harness's message scale.
-    constexpr double kGrayStepNs = 20'000.0;
-    const std::uint64_t ns =
-        factor > 1.0 ? static_cast<std::uint64_t>((factor - 1.0) * kGrayStepNs)
-                     : 0;
-    cluster_->set_gray(pid, ns);
+    cluster_->set_gray(pid, gray_step_ns(factor));
   }
   [[nodiscard]] bool timed_out() const override { return timed_out_; }
   [[nodiscard]] int num_processes() const override {
@@ -204,12 +212,11 @@ class ThreadBackend final : public Backend {
   bool timed_out_{false};
 };
 
-/// Real sockets: netio::Mesh behind the Backend contract. Mirrors
-/// ThreadBackend's run()/timed_out() shape -- real time, bounded runs
-/// degrade to a liveness verdict -- but every message genuinely crosses a
-/// loopback-TCP socket as framed codec bytes, so the reserialize flag is
-/// inherently satisfied and the fault surface lives in the userspace proxy
-/// between sockets and automata (see netio/mesh.hpp).
+/// Real sockets: netio::Mesh behind the Backend contract. Same run() and
+/// gray mapping as ThreadBackend -- real time, bounded runs degrade to a
+/// liveness verdict -- but every message genuinely crosses a loopback-TCP
+/// socket as framed codec bytes, so the reserialize flag is inherently
+/// satisfied (see netio/mesh.hpp).
 class NetBackend final : public Backend {
  public:
   explicit NetBackend(const BackendConfig& cfg)
@@ -230,25 +237,10 @@ class NetBackend final : public Backend {
     mesh_->post(at, pid, std::move(fn));
   }
   std::uint64_t run() override {
-    if (timed_out_) return 0;
-    const std::uint64_t before = mesh_->messages_delivered();
-    const std::uint64_t bound = max_wall_ms_ > 0 ? max_wall_ms_ : run_timeout_;
-    const bool quiesced =
-        mesh_->run_quiescent(std::chrono::milliseconds(bound));
-    if (!quiesced) {
-      if (max_wall_ms_ > 0) {
-        // A stalled quorum over real sockets is a red sweep cell, not a
-        // hung CI job: stop the mesh and report a liveness verdict.
-        timed_out_ = true;
-        mesh_->stop();
-        return mesh_->messages_delivered() - before;
-      }
-      RR_ASSERT_MSG(quiesced,
-                    "net backend failed to quiesce: livelock, a dead "
-                    "transport, or a fault plan exceeding the resilience "
-                    "budget");
-    }
-    return mesh_->messages_delivered() - before;
+    return run_bounded(*mesh_, max_wall_ms_, run_timeout_, timed_out_,
+                       "net backend failed to quiesce: livelock, a dead "
+                       "transport, or a fault plan exceeding the resilience "
+                       "budget");
   }
   [[nodiscard]] Time now() const override { return mesh_->now(); }
 
@@ -264,13 +256,7 @@ class NetBackend final : public Backend {
     mesh_->set_link_faults(lf);
   }
   void set_gray(ProcessId pid, double factor) override {
-    // Same mapping as the threads backend: gray is a per-frame delivery
-    // delay of (factor - 1) x 20us on the slow-but-alive node.
-    constexpr double kGrayStepNs = 20'000.0;
-    const std::uint64_t ns =
-        factor > 1.0 ? static_cast<std::uint64_t>((factor - 1.0) * kGrayStepNs)
-                     : 0;
-    mesh_->set_gray(pid, ns);
+    mesh_->set_gray(pid, gray_step_ns(factor));
   }
   [[nodiscard]] bool timed_out() const override { return timed_out_; }
   [[nodiscard]] int num_processes() const override {

@@ -1,5 +1,5 @@
-// Execution backends: one interface over the discrete-event simulator and
-// the threaded cluster.
+// Execution backends: one interface over the discrete-event simulator, the
+// threaded cluster and the loopback-TCP socket mesh.
 //
 // The paper's computation model (Section 2.1, steps <p, M>) is runtime-
 // agnostic, and so are the automata (net::Process). A Backend is everything
@@ -133,17 +133,27 @@ class Backend {
   /// differences of this clock, so its unit defines the latency unit.
   [[nodiscard]] virtual Time now() const = 0;
 
-  // Fault injection. Semantics must match the DES exactly:
-  //   - crash(p): p takes no further steps, ever. Undelivered messages to
-  //     or from p are dropped (counted in NetStats), as are future sends;
-  //     messages buffered on held channels adjacent to p are discarded
-  //     immediately so they cannot be resurrected by release().
-  //   - hold(from, to): messages sent on that channel are buffered, not
-  //     delivered ("messages remain in transit"). Idempotent.
-  //   - release(from, to): buffered messages are re-injected in FIFO order
-  //     with fresh delays from the current time. No-op if not held.
+  // Fault injection. Every backend applies it through one net::ChannelProxy,
+  // so these rules hold on each by construction:
+  //   - Draws: every send draws loss, then duplication, then one reorder
+  //     draw per copy that is not held, whatever the endpoints' crash
+  //     state. The DES draws from its one link stream, threads and net from
+  //     the sender's own stream.
+  //   - Hold point: the sender. hold(from, to) buffers copies after loss
+  //     and duplication, before reorder ("messages remain in transit");
+  //     idempotent. release(from, to) re-injects the backlog in FIFO order
+  //     with fresh delays from the current time and no reorder draw; no-op
+  //     if not held.
+  //   - Crash-drop point: delivery. After crash(p), p takes no further
+  //     steps, ever, and a copy to or from p is dropped (counted in
+  //     NetStats) when it would be delivered. Backlogs on held channels
+  //     adjacent to p are discarded at once, as is a send onto such a
+  //     channel, so release() cannot resurrect them.
   //   - hold_all/release_all: every channel adjacent to pid, both
-  //     directions, excluding the never-used self-channel pid -> pid.
+  //     directions, excluding the never-used self-channel pid -> pid;
+  //     release_all goes peer by peer in id order, pid -> q then q -> pid.
+  //   - Accounting: once every channel is released and run() has returned,
+  //     sent + duplicated == delivered + dropped + lost.
   virtual void crash(ProcessId pid) = 0;
   virtual void hold(ProcessId from, ProcessId to) = 0;
   virtual void release(ProcessId from, ProcessId to) = 0;
@@ -151,12 +161,12 @@ class Backend {
   virtual void release_all(ProcessId pid) = 0;
 
   // Gray-failure library (see net::LinkFaults and docs/SCENARIO_DSL.md).
-  // Both substrates implement link faults and gray processes with shared
+  // Every substrate implements link faults and gray processes with shared
   // NetStats accounting; clock skew is meaningful only under the DES.
   //   - set_link_faults: seeded per-channel loss / duplication / reorder.
   //     Call after the last add_process and before start().
   //   - set_gray(p, factor): p stays correct but slow -- the DES multiplies
-  //     delays on p's channels, the cluster injects (factor-1) x 20us of
+  //     delays on p's channels, threads and net inject (factor-1) x 20us of
   //     stepping delay. factor <= 1 clears. Callable mid-run via post().
   //   - set_clock_skew(p, off): p's Context::now() reads shifted by `off`.
   //     Returns false where unsupported (threads: wall clocks don't lie).

@@ -5,10 +5,10 @@
 // legal -- delays are arbitrary). The gray-failure library deliberately
 // steps outside that model with seeded message LOSS and DUPLICATION, and
 // stays inside it with forced REORDERING (an extra scheduled delay, so
-// later sends overtake). Both backends consume this one configuration and
-// account the perturbations in the same net::NetStats counters, so a
-// scenario that loses 20% of one object's traffic behaves comparably on
-// the DES and on real threads.
+// later sends overtake). net::ChannelProxy applies this one configuration
+// on every backend and accounts the perturbations in the same net::NetStats
+// counters, so a scenario that loses 20% of one object's traffic behaves
+// the same on the DES, on real threads and on sockets.
 //
 // Sampling is seeded and (on the DES) consumed in deterministic event
 // order from a dedicated RNG stream, so enabling a rule never perturbs the

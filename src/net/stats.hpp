@@ -18,13 +18,15 @@ struct NetStats {
 
   std::uint64_t messages_sent{0};
   std::uint64_t messages_delivered{0};
-  std::uint64_t messages_dropped{0};  ///< sent to crashed processes
+  std::uint64_t messages_dropped{0};  ///< copies to or from crashed processes
   std::uint64_t bytes_sent{0};
   // Link-fault perturbations (net::LinkFaults); zero unless a scenario
-  // installs a rule. Counted identically by both backends: a lost message
-  // was counted as sent but never delivered; a duplicated one delivers one
-  // extra copy (so delivered may exceed sent); a reordered one is delivered
-  // late but exactly once.
+  // installs a rule. net::ChannelProxy counts them on every backend: a lost
+  // message was counted as sent but never delivered; a duplicated one
+  // delivers one extra copy (so delivered may exceed sent); a reordered one
+  // is delivered late but exactly once. Once held channels are released
+  // and the backend has quiesced,
+  // sent + duplicated == delivered + dropped + lost.
   std::uint64_t messages_lost{0};
   std::uint64_t messages_duplicated{0};
   std::uint64_t messages_reordered{0};
@@ -53,6 +55,24 @@ struct NetStats {
       hist_slots_shipped += ha->history.size();
       hist_resyncs += ha->resync;
     }
+  }
+
+  /// Sums every counter: how a backend totals its per-thread counters.
+  NetStats& operator+=(const NetStats& o) {
+    messages_sent += o.messages_sent;
+    messages_delivered += o.messages_delivered;
+    messages_dropped += o.messages_dropped;
+    bytes_sent += o.bytes_sent;
+    messages_lost += o.messages_lost;
+    messages_duplicated += o.messages_duplicated;
+    messages_reordered += o.messages_reordered;
+    for (std::size_t i = 0; i < kNumTypes; ++i) {
+      messages_by_type[i] += o.messages_by_type[i];
+      bytes_by_type[i] += o.bytes_by_type[i];
+    }
+    hist_slots_shipped += o.hist_slots_shipped;
+    hist_resyncs += o.hist_resyncs;
+    return *this;
   }
 };
 

@@ -37,6 +37,13 @@ std::uint32_t get_u32(const char* p) {
          (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3])) << 24);
 }
 
+/// Adds to a counter only its owning node thread writes (a plain load and
+/// store, no read-modify-write); other threads may read it at any time.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t d = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + d,
+                std::memory_order_relaxed);
+}
+
 }  // namespace
 
 class Mesh::MeshContext final : public net::Context {
@@ -72,15 +79,14 @@ ProcessId Mesh::add(std::unique_ptr<net::Process> p) {
   n->net_rng = Rng(mix64(opts_.seed ^ 0x6e65'7472'7269'6f00ULL) +
                    static_cast<std::uint64_t>(n->pid));
   nodes_.push_back(std::move(n));
+  proxy_.add_process();
   return nodes_.back()->pid;
 }
 
 void Mesh::set_link_faults(const net::LinkFaults& lf) {
   RR_ASSERT(!started_);
-  link_faults_ = lf;
-  link_enabled_ = lf.any();
-  // Same forked-stream construction as the DES and the cluster, so a
-  // seeded rule samples the same way on every backend.
+  proxy_.set_link_faults(lf);
+  // Same forked per-sender stream construction as the cluster.
   Rng seeder(mix64(lf.seed ^ 0x11fa'0175'0001ULL));
   for (auto& n : nodes_) n->link_rng = seeder.fork();
 }
@@ -126,7 +132,7 @@ void Mesh::start() {
   // reconnect machinery (attempt 0 = immediate) brings the mesh up.
   for (auto& np : nodes_) {
     Node& n = *np;
-    if (n.crashed.load(std::memory_order_relaxed)) continue;
+    if (proxy_.crashed(n.pid)) continue;
     MeshContext ctx(*this, n.pid);
     n.proc->on_start(ctx);
   }
@@ -173,134 +179,40 @@ bool Mesh::run_quiescent(std::chrono::milliseconds timeout) {
 
 void Mesh::post(Time at, ProcessId pid, net::PostFn fn) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
+  push_timer(node(pid), TimedItem{at, 0, false, std::move(fn), -1, {}});
+}
+
+void Mesh::push_timer(Node& n, TimedItem item) {
   add_pending(1);
-  Node& n = node(pid);
   {
     std::lock_guard lock(n.timer_mu);
-    n.heap.push_back(TimedItem{at, n.seq++, false, std::move(fn), -1, {}});
-    std::push_heap(n.heap.begin(), n.heap.end(), [](const TimedItem& a,
-                                                    const TimedItem& b) {
-      return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-    });
+    item.seq = n.seq++;
+    n.heap.push_back(std::move(item));
+    std::push_heap(n.heap.begin(), n.heap.end(), &timed_later);
   }
   wake(n);
 }
 
 // ---------------------------------------------------------------------------
-// Fault surface (the userspace proxy's control plane)
+// Releasing held channels (net::ChannelProxy's policy)
 // ---------------------------------------------------------------------------
 
-void Mesh::crash(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
-  node(pid).crashed.store(true, std::memory_order_release);
-  if (held_count_.load(std::memory_order_acquire) == 0) return;
-  std::uint64_t dropped = 0;
-  {
-    std::lock_guard lock(chan_mu_);
-    // Channels stay held (status); only adjacent backlogs are discarded,
-    // so release() cannot resurrect a crashed process's traffic.
-    for (auto it = held_buffers_.begin(); it != held_buffers_.end();) {
-      const auto from = static_cast<ProcessId>(it->first >> 32);
-      const auto to = static_cast<ProcessId>(it->first & 0xffffffffu);
-      if (from != pid && to != pid) {
-        ++it;
-        continue;
-      }
-      dropped += it->second.size();
-      it = held_buffers_.erase(it);
-    }
-  }
-  if (dropped > 0) {
-    crash_dropped_.fetch_add(dropped, std::memory_order_acq_rel);
-  }
-}
-
-bool Mesh::crashed(ProcessId pid) const {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
-  return node(pid).crashed.load(std::memory_order_acquire);
-}
-
-void Mesh::hold(ProcessId from, ProcessId to) {
-  RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(nodes_.size()));
-  RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(nodes_.size()));
-  std::lock_guard lock(chan_mu_);
-  held_chans_.insert(chan_key(from, to));
-  held_count_.store(held_chans_.size(), std::memory_order_release);
-}
-
-void Mesh::hold_all(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
-  std::lock_guard lock(chan_mu_);
-  for (ProcessId q = 0; q < static_cast<ProcessId>(nodes_.size()); ++q) {
-    if (q == pid) continue;  // the self-channel pid -> pid is never used
-    held_chans_.insert(chan_key(pid, q));
-    held_chans_.insert(chan_key(q, pid));
-  }
-  held_count_.store(held_chans_.size(), std::memory_order_release);
-}
-
-bool Mesh::held(ProcessId from, ProcessId to) const {
-  std::lock_guard lock(chan_mu_);
-  return held_chans_.count(chan_key(from, to)) != 0;
-}
-
+// A released backlog crosses the socket now, FIFO, through the sender's
+// deferred-write path. A concurrent send on the just-released channel may
+// overtake it -- legal under the asynchronous model (fresh delays on
+// release, as under the DES).
 void Mesh::release(ProcessId from, ProcessId to) {
-  std::vector<Inject> buffered;
-  {
-    std::lock_guard lock(chan_mu_);
-    const auto key = chan_key(from, to);
-    if (held_chans_.erase(key) == 0) return;
-    held_count_.store(held_chans_.size(), std::memory_order_release);
-    const auto it = held_buffers_.find(key);
-    if (it != held_buffers_.end()) {
-      buffered = std::move(it->second);
-      held_buffers_.erase(it);
-    }
-  }
-  if (buffered.empty()) return;
-  // FIFO re-injection into the destination's proxy, outside the channel
-  // lock. A concurrent send on the just-released channel may overtake the
-  // backlog -- legal under the asynchronous model (fresh delays on
-  // release, as under the DES).
-  Node& dest = node(to);
-  {
-    std::lock_guard lock(dest.inj_mu);
-    for (auto& env : buffered) {
-      add_pending(1);
-      dest.inj_msgs.push_back(std::move(env));
-    }
-  }
-  wake(dest);
+  proxy_.release(from, to, [this](ProcessId f, ProcessId t,
+                                  wire::Message&& msg) {
+    push_timer(node(f), TimedItem{0, 0, true, {}, t, std::move(msg)});
+  });
 }
 
 void Mesh::release_all(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
-  std::vector<std::pair<ProcessId, std::vector<Inject>>> released;
-  {
-    std::lock_guard lock(chan_mu_);
-    for (ProcessId q = 0; q < static_cast<ProcessId>(nodes_.size()); ++q) {
-      for (const auto key : {chan_key(pid, q), chan_key(q, pid)}) {
-        if (held_chans_.erase(key) == 0) continue;
-        const auto it = held_buffers_.find(key);
-        if (it == held_buffers_.end()) continue;
-        released.emplace_back(static_cast<ProcessId>(key & 0xffffffffu),
-                              std::move(it->second));
-        held_buffers_.erase(it);
-      }
-    }
-    held_count_.store(held_chans_.size(), std::memory_order_release);
-  }
-  for (auto& [to, backlog] : released) {
-    Node& dest = node(to);
-    {
-      std::lock_guard lock(dest.inj_mu);
-      for (auto& env : backlog) {
-        add_pending(1);
-        dest.inj_msgs.push_back(std::move(env));
-      }
-    }
-    wake(dest);
-  }
+  proxy_.release_all(pid, [this](ProcessId f, ProcessId t,
+                                 wire::Message&& msg) {
+    push_timer(node(f), TimedItem{0, 0, true, {}, t, std::move(msg)});
+  });
 }
 
 void Mesh::sever(ProcessId a, ProcessId b) {
@@ -309,7 +221,7 @@ void Mesh::sever(ProcessId a, ProcessId b) {
   RR_ASSERT(a != b);
   Node& n = node(a);
   {
-    std::lock_guard lock(n.inj_mu);
+    std::lock_guard lock(n.sever_mu);
     n.sever_reqs.push_back(b);
   }
   wake(n);
@@ -323,77 +235,27 @@ void Mesh::route(ProcessId from, ProcessId to, wire::Message msg) {
   RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(nodes_.size()));
   RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(nodes_.size()));
   Node& sender = node(from);
-  auto& st = sender.local_stats;
   // The frame payload doubles as the byte accounting: encode() length ==
   // encoded_size() (pinned by the codec tests), so net byte counts stay
   // comparable with the DES and the cluster.
   const std::string payload = wire::encode(msg);
-  st.count_send(msg, opts_.account_bytes ? payload.size() : 0);
-  if (crashed(from) || crashed(to)) {
-    st.messages_dropped++;
-    return;
-  }
-  // Link faults, sender-side, in the DES's order: loss, then duplicate,
-  // then per-copy reorder below. Only the thread stepping `from` touches
-  // its link_rng.
-  int copies = 1;
-  const Time t = now();
-  if (link_enabled_) {
-    auto& lrng = sender.link_rng;
-    const auto& loss = link_faults_.loss;
-    if (loss.active(t) && loss.covers(from, to) && lrng.chance(loss.p)) {
-      st.messages_lost++;
-      return;
-    }
-    const auto& dup = link_faults_.duplicate;
-    if (dup.active(t) && dup.covers(from, to) && lrng.chance(dup.p)) {
-      st.messages_duplicated++;
-      copies = 2;
-    }
-  }
-  if (to == from) {
-    // Self-sends (never used by the protocols) skip the socket: inject as
-    // already-accounted deliveries.
-    {
-      std::lock_guard lock(sender.inj_mu);
-      for (int c = 0; c < copies; ++c) {
-        add_pending(1);
-        sender.inj_msgs.push_back(Inject{from, msg});
-      }
-    }
-    wake(sender);
-    return;
-  }
-  const std::string frame = wire::wrap_frame(payload);
-  bool deferred = false;
-  for (int c = 0; c < copies; ++c) {
-    bool reorder_this = false;
-    if (link_enabled_) {
-      const auto& re = link_faults_.reorder;
-      if (re.active(t) && re.covers(from, to) &&
-          sender.link_rng.chance(re.p)) {
-        st.messages_reordered++;
-        reorder_this = true;
-      }
-    }
-    add_pending(1);
-    if (reorder_this) {
-      // Defer the WRITE on the sender's own timer: the frame enters the
-      // socket reorder_delay later, so fresher traffic on the channel
-      // overtakes it. It was counted pending above, so quiescence waits.
-      std::lock_guard lock(sender.timer_mu);
-      sender.heap.push_back(TimedItem{t + link_faults_.reorder_delay,
-                                      sender.seq++, true, {}, to, frame});
-      std::push_heap(sender.heap.begin(), sender.heap.end(),
-                     [](const TimedItem& a, const TimedItem& b) {
-                       return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-                     });
-      deferred = true;
-    } else {
-      send_frame(sender, to, frame);
-    }
-  }
-  if (deferred) wake(sender);
+  sender.local_stats.count_send(msg, opts_.account_bytes ? payload.size() : 0);
+  // Draws come from the sender's stream, which only the thread stepping
+  // `from` touches. Copies written now reuse one frame; reordered copies and
+  // self-sends wait on the sender's timer heap.
+  std::string frame;
+  proxy_.send(from, to, std::move(msg), [this] { return now(); },
+              sender.link_rng, sender.local_stats,
+              [&](wire::Message&& copy, Time defer) {
+                if (defer != 0 || to == from) {
+                  push_timer(sender, TimedItem{now() + defer, 0, true, {}, to,
+                                               std::move(copy)});
+                  return;
+                }
+                if (frame.empty()) frame = wire::wrap_frame(payload);
+                add_pending(1);
+                send_frame(sender, to, frame);
+              });
 }
 
 void Mesh::send_frame(Node& n, ProcessId to, std::string_view frame) {
@@ -412,21 +274,6 @@ void Mesh::append_frame(Node& n, ProcessId to, std::string_view frame) {
 // Receive path (runs on the destination node's thread)
 // ---------------------------------------------------------------------------
 
-void Mesh::receive_frame(Node& n, ProcessId from, wire::Message&& msg) {
-  if (held_count_.load(std::memory_order_acquire) != 0) {
-    std::unique_lock lock(chan_mu_);
-    const auto key = chan_key(from, n.pid);
-    if (held_chans_.count(key) != 0) {
-      held_buffers_[key].push_back(Inject{from, std::move(msg)});
-      lock.unlock();
-      // "Messages remain in transit": a held buffer is NOT pending work.
-      finish_work(1);
-      return;
-    }
-  }
-  deliver_msg_step(n, from, msg);
-}
-
 void Mesh::fault_sleep(Node& n) {
   // Gray (slow-but-alive): every frame/step on the gray node lands late
   // but correct -- the per-frame delay the ISSUE asks of set_gray.
@@ -440,10 +287,9 @@ void Mesh::fault_sleep(Node& n) {
 
 void Mesh::deliver_msg_step(Node& n, ProcessId from, const wire::Message& msg) {
   fault_sleep(n);
-  // Crash is a blackhole at the proxy: the node keeps draining its sockets
-  // so in-transit accounting stays exact, and drops everything here.
-  if (n.crashed.load(std::memory_order_acquire) || crashed(from)) {
-    n.local_stats.messages_dropped++;
+  // Crash is a blackhole at the delivery gate: the node keeps draining its
+  // sockets so in-transit accounting stays exact, and drops everything here.
+  if (!proxy_.admit(from, n.pid)) {
     finish_work(1);
     return;
   }
@@ -456,7 +302,7 @@ void Mesh::deliver_msg_step(Node& n, ProcessId from, const wire::Message& msg) {
 
 void Mesh::deliver_fn_step(Node& n, net::PostFn fn) {
   fault_sleep(n);
-  if (n.crashed.load(std::memory_order_acquire)) {
+  if (proxy_.crashed(n.pid)) {
     finish_work(1);  // crashed processes take no steps; the closure is dropped
     return;
   }
@@ -478,10 +324,8 @@ void Mesh::wake(Node& n) {
 
 Time Mesh::next_deadline(Node& n) {
   {
-    std::lock_guard lock(n.inj_mu);
-    if (!n.inj_fns.empty() || !n.inj_msgs.empty() || !n.sever_reqs.empty()) {
-      return 0;  // injected work: don't sleep
-    }
+    std::lock_guard lock(n.sever_mu);
+    if (!n.sever_reqs.empty()) return 0;  // pending severs: don't sleep
   }
   Time d = kNoDeadline;
   {
@@ -525,7 +369,7 @@ void Mesh::node_main(Node& n) {
     for (int i = 0; i < k; ++i) {
       handle_event(n, evs[i].data.fd, evs[i].events);
     }
-    drain_inject(n);
+    service_severs(n);
     fire_timers(n);
     service_reconnects(n);
     service_timeouts(n);
@@ -548,7 +392,7 @@ void Mesh::handle_event(Node& n, int fd, std::uint32_t events) {
   }
   if (n.pending.count(fd) != 0) {
     if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
-      n.handshake_failures++;
+      bump(n.handshake_failures);
       epoll_del(n, fd);
       n.pending.erase(fd);
       return;
@@ -588,7 +432,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (r < 0 && errno == EINTR) continue;
     // EOF or a hard error before the hello completed.
-    n.handshake_failures++;
+    bump(n.handshake_failures);
     epoll_del(n, fd);
     n.pending.erase(it);
     return;
@@ -602,7 +446,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
       static_cast<ProcessId>(pid32) == n.pid) {
     // A peer that can't even say hello correctly is hostile or broken:
     // count and close, never trust.
-    n.handshake_failures++;
+    bump(n.handshake_failures);
     epoll_del(n, fd);
     return;
   }
@@ -618,7 +462,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
   p.partial_since = 0;
   p.dec.reset();
   p.out_head = p.out_frame_start;  // resend the partially-written frame
-  n.connects++;
+  bump(n.connects);
   p.want_write = p.out_head < p.out.size();
   epoll_mod(n, raw, EPOLLIN | (p.want_write ? EPOLLOUT : 0u));
   if (p.want_write) flush_peer(n, peer);
@@ -661,7 +505,7 @@ void Mesh::on_connected(Node& n, ProcessId peer) {
   p.partial_since = 0;
   p.dec.reset();
   p.out_head = p.out_frame_start;  // resend the partially-written frame
-  n.connects++;
+  bump(n.connects);
   std::string hello;
   put_u32(hello, kHelloMagic);
   put_u32(hello, static_cast<std::uint32_t>(n.pid));
@@ -675,12 +519,21 @@ void Mesh::read_peer(Node& n, ProcessId peer) {
   Peer& p = n.peers[static_cast<std::size_t>(peer)];
   char buf[65536];
   const auto sink = [this, &n, peer](wire::Message&& m) {
-    receive_frame(n, peer, std::move(m));
+    deliver_msg_step(n, peer, m);
   };
   for (;;) {
     const ssize_t r = ::read(p.fd.get(), buf, sizeof(buf));
     if (r > 0) {
-      if (!p.dec.feed(buf, static_cast<std::size_t>(r), sink)) {
+      const bool intact = p.dec.feed(buf, static_cast<std::size_t>(r), sink);
+      // Publish the decoder's corrupt-frame count for transport().
+      const auto& fs = p.dec.stats();
+      const std::uint64_t corrupt =
+          fs.bad_magic + fs.oversized + fs.bad_payload;
+      if (corrupt != p.corrupt_seen) {
+        bump(n.corrupt_frames, corrupt - p.corrupt_seen);
+        p.corrupt_seen = corrupt;
+      }
+      if (!intact) {
         // Poisoned stream (bad magic / oversized length): framing is lost,
         // the decoder counted it; drop the connection and let the
         // initiator end re-establish it with a fresh decoder.
@@ -785,7 +638,7 @@ void Mesh::drop_conn(Node& n, ProcessId peer, bool reconnect_now) {
 
 void Mesh::attempt_connect(Node& n, ProcessId peer) {
   Peer& p = n.peers[static_cast<std::size_t>(peer)];
-  n.connect_attempts++;
+  bump(n.connect_attempts);
   bool in_progress = false;
   Fd fd = connect_loopback(node(peer).port, in_progress);
   if (!fd.valid()) {
@@ -823,13 +676,13 @@ void Mesh::service_timeouts(Node& n) {
     if (p.ready && p.partial_since != 0 &&
         t - p.partial_since > frame_timeout_ns_) {
       // A peer silent mid-frame past the deadline is a truncating peer.
-      n.partial_timeouts++;
+      bump(n.partial_timeouts);
       drop_conn(n, q, true);
     }
   }
   for (auto it = n.pending.begin(); it != n.pending.end();) {
     if (t - it->second.since > frame_timeout_ns_) {
-      n.handshake_failures++;
+      bump(n.handshake_failures);
       epoll_del(n, it->first);
       it = n.pending.erase(it);
     } else {
@@ -838,19 +691,13 @@ void Mesh::service_timeouts(Node& n) {
   }
 }
 
-void Mesh::drain_inject(Node& n) {
-  std::vector<net::PostFn> fns;
-  std::vector<Inject> msgs;
+void Mesh::service_severs(Node& n) {
   std::vector<ProcessId> severs;
   {
-    std::lock_guard lock(n.inj_mu);
-    fns.swap(n.inj_fns);
-    msgs.swap(n.inj_msgs);
+    std::lock_guard lock(n.sever_mu);
     severs.swap(n.sever_reqs);
   }
   for (const ProcessId peer : severs) drop_conn(n, peer, true);
-  for (auto& fn : fns) deliver_fn_step(n, std::move(fn));
-  for (auto& m : msgs) deliver_msg_step(n, m.from, m.msg);
 }
 
 void Mesh::fire_timers(Node& n) {
@@ -859,19 +706,19 @@ void Mesh::fire_timers(Node& n) {
     {
       std::lock_guard lock(n.timer_mu);
       if (n.heap.empty() || n.heap.front().at > now()) return;
-      std::pop_heap(n.heap.begin(), n.heap.end(),
-                    [](const TimedItem& a, const TimedItem& b) {
-                      return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-                    });
+      std::pop_heap(n.heap.begin(), n.heap.end(), &timed_later);
       item = std::move(n.heap.back());
       n.heap.pop_back();
     }
-    if (item.is_write) {
-      // A reorder-deferred frame: enters the socket now (still pending
-      // until the receiving proxy delivers or drops it).
-      send_frame(n, item.to, item.bytes);
-    } else {
+    if (!item.is_write) {
       deliver_fn_step(n, std::move(item.fn));
+    } else if (item.to == n.pid) {
+      // Self-sends (never used by the protocols) skip the socket.
+      deliver_msg_step(n, n.pid, item.msg);
+    } else {
+      // A reorder-deferred or released copy enters the socket now (still
+      // pending until the receiver delivers or drops it).
+      send_frame(n, item.to, wire::encode_frame(item.msg));
     }
   }
 }
@@ -882,37 +729,20 @@ void Mesh::fire_timers(Node& n) {
 
 net::NetStats Mesh::stats() const {
   net::NetStats total;
-  for (const auto& np : nodes_) {
-    const auto& s = np->local_stats;
-    total.messages_sent += s.messages_sent;
-    total.messages_delivered += s.messages_delivered;
-    total.messages_dropped += s.messages_dropped;
-    total.bytes_sent += s.bytes_sent;
-    total.messages_lost += s.messages_lost;
-    total.messages_duplicated += s.messages_duplicated;
-    total.messages_reordered += s.messages_reordered;
-    total.hist_slots_shipped += s.hist_slots_shipped;
-    total.hist_resyncs += s.hist_resyncs;
-    for (std::size_t i = 0; i < net::NetStats::kNumTypes; ++i) {
-      total.messages_by_type[i] += s.messages_by_type[i];
-      total.bytes_by_type[i] += s.bytes_by_type[i];
-    }
-  }
-  total.messages_dropped += crash_dropped_.load(std::memory_order_acquire);
+  for (const auto& np : nodes_) total += np->local_stats;
+  total.messages_dropped += proxy_.dropped();
   return total;
 }
 
 TransportStats Mesh::transport() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   TransportStats t;
   for (const auto& np : nodes_) {
-    t.connects += np->connects;
-    t.connect_attempts += np->connect_attempts;
-    t.partial_timeouts += np->partial_timeouts;
-    t.handshake_failures += np->handshake_failures;
-    for (const auto& p : np->peers) {
-      const auto& fs = p.dec.stats();
-      t.corrupt_frames += fs.bad_magic + fs.oversized + fs.bad_payload;
-    }
+    t.connects += np->connects.load(kRelaxed);
+    t.connect_attempts += np->connect_attempts.load(kRelaxed);
+    t.partial_timeouts += np->partial_timeouts.load(kRelaxed);
+    t.handshake_failures += np->handshake_failures.load(kRelaxed);
+    t.corrupt_frames += np->corrupt_frames.load(kRelaxed);
   }
   return t;
 }

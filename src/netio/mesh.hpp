@@ -3,22 +3,22 @@
 // pair, messages framed as length-prefixed wire::encode() bytes
 // (wire::FrameDecoder reassembles partial reads).
 //
-// The entire fault surface of the Backend contract is implemented as a
-// userspace proxy sitting between the sockets and the automata:
+// Crash, hold/release and link faults are net::ChannelProxy's policy, the
+// same object the DES and the cluster use; the mesh supplies transport:
 //
-//   crash          the node stops stepping forever and blackholes: its
-//                  proxy keeps draining adjacent sockets and DROPS every
-//                  frame (counted), so in-transit accounting stays exact --
-//                  a real dead machine's kernel would RST and make the
-//                  in-flight count unknowable.
-//   hold/release   frames still cross the socket, but the receiving proxy
-//                  buffers them per channel instead of delivering
-//                  ("messages remain in transit"); release re-injects the
-//                  backlog FIFO. Crash discards adjacent backlogs.
-//   link faults    seeded loss/duplication/reorder sampled sender-side, in
-//                  deterministic per-sender order, from the same forked RNG
-//                  stream construction as the DES and the cluster; a
-//                  reordered frame's write is deferred by reorder_delay.
+//   crash          the node stops stepping forever and blackholes: it keeps
+//                  draining adjacent sockets and the proxy's delivery gate
+//                  DROPS every frame (counted), so in-transit accounting
+//                  stays exact -- a real dead machine's kernel would RST and
+//                  make the in-flight count unknowable.
+//   hold/release   the sender's proxy buffers copies of a held channel
+//                  before they reach the socket ("messages remain in
+//                  transit"); release writes the backlog FIFO through the
+//                  sender's deferred-write path. Crash discards adjacent
+//                  backlogs.
+//   link faults    seeded loss/duplication/reorder drawn sender-side from
+//                  the sender's own stream; a reordered frame's write is
+//                  deferred by reorder_delay on the sender's timer heap.
 //   gray           per-frame delivery delay on the gray node (slow but
 //                  correct), mirroring the cluster's per-step injection.
 //
@@ -30,9 +30,9 @@
 // false, which the harness maps to Backend::timed_out().
 //
 // Quiescence uses the cluster's scheme: an atomic pending-work counter
-// (+1 per accepted send copy or posted closure, -1 after delivery, drop, or
-// hold-buffering) and a condvar. Frames buffered on held channels are NOT
-// work. One caveat is inherent to real sockets: bytes already handed to a
+// (+1 per copy handed to the transport or posted closure, -1 after delivery
+// or drop) and a condvar. Copies buffered on held channels are NOT work.
+// One caveat is inherent to real sockets: bytes already handed to a
 // kernel that loses the connection cannot be tracked, so the test-only
 // sever() hook must be called while quiescent.
 #pragma once
@@ -47,13 +47,13 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/faults.hpp"
 #include "net/process.hpp"
+#include "net/proxy.hpp"
 #include "net/stats.hpp"
 #include "netio/backoff.hpp"
 #include "netio/socket.hpp"
@@ -75,7 +75,8 @@ struct MeshOptions {
   BackoffPolicy backoff{};
 };
 
-/// Transport robustness counters (exact after the mesh has quiesced).
+/// Transport robustness counters (exact after the mesh has quiesced; safe to
+/// read at any time).
 struct TransportStats {
   std::uint64_t connects{0};           ///< completed hello handshakes
   std::uint64_t connect_attempts{0};   ///< connect() initiations
@@ -108,13 +109,17 @@ class Mesh {
     return delivered_.load(std::memory_order_acquire);
   }
 
-  void crash(ProcessId pid);
-  [[nodiscard]] bool crashed(ProcessId pid) const;
-  void hold(ProcessId from, ProcessId to);
-  void hold_all(ProcessId pid);
+  void crash(ProcessId pid) { proxy_.crash(pid); }
+  [[nodiscard]] bool crashed(ProcessId pid) const {
+    return proxy_.crashed(pid);
+  }
+  void hold(ProcessId from, ProcessId to) { proxy_.hold(from, to); }
+  void hold_all(ProcessId pid) { proxy_.hold_all(pid); }
   void release(ProcessId from, ProcessId to);
   void release_all(ProcessId pid);
-  [[nodiscard]] bool held(ProcessId from, ProcessId to) const;
+  [[nodiscard]] bool held(ProcessId from, ProcessId to) const {
+    return proxy_.held(from, to);
+  }
 
   [[nodiscard]] Time now() const;
   [[nodiscard]] net::NetStats stats() const;
@@ -131,11 +136,6 @@ class Mesh {
   void sever(ProcessId a, ProcessId b);
 
  private:
-  struct Inject {
-    ProcessId from;
-    wire::Message msg;
-  };
-
   /// One end of a connection to a peer, owned by the node's thread.
   struct Peer {
     Fd fd;
@@ -143,6 +143,8 @@ class Mesh {
     bool ready{false};       ///< hello done, frames flowing
     bool want_write{false};  ///< EPOLLOUT currently registered
     wire::FrameDecoder dec{};
+    /// Corrupt frames of `dec` already added to the node's published total.
+    std::uint64_t corrupt_seen{0};
     Time partial_since{0};  ///< first observation of a mid-frame stall
     /// Outgoing bytes, kept frame-aligned so a reconnect can rewind to the
     /// first incompletely-written frame (the peer resets its decoder on
@@ -162,8 +164,16 @@ class Mesh {
     bool is_write{false};
     net::PostFn fn;     ///< !is_write: a step of this node
     ProcessId to{-1};   ///< is_write: peer to write to
-    std::string bytes;  ///< is_write: a complete frame (reorder deferral)
+    /// is_write: a reorder-deferred copy, a released backlog copy or a
+    /// self-send
+    wire::Message msg;
   };
+
+  /// Heap order for Node::heap (min-heap on (at, seq)).
+  [[nodiscard]] static bool timed_later(const TimedItem& a,
+                                        const TimedItem& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
 
   struct PendingConn {
     Fd fd;
@@ -179,7 +189,6 @@ class Mesh {
     /// Transport-only stream (backoff jitter): kept apart from `rng` so
     /// reconnect timing never perturbs the automaton's deterministic draws.
     Rng net_rng;
-    std::atomic<bool> crashed{false};
     std::atomic<std::uint64_t> gray_ns{0};
     /// Written only by the thread stepping this node (sender counters at
     /// route(), receiver counters at delivery), read after quiescence.
@@ -193,32 +202,26 @@ class Mesh {
     std::unordered_map<int, ProcessId> fd_peer;  ///< owned peer/connect fds
     std::unordered_map<int, PendingConn> pending;  ///< accepted, pre-hello
 
-    std::mutex inj_mu;
-    std::vector<net::PostFn> inj_fns;
-    std::vector<Inject> inj_msgs;
+    std::mutex sever_mu;
     std::vector<ProcessId> sever_reqs;
 
     std::mutex timer_mu;
     std::vector<TimedItem> heap;
     std::uint64_t seq{0};
 
-    // Owner-thread transport counters.
-    std::uint64_t connects{0};
-    std::uint64_t connect_attempts{0};
-    std::uint64_t partial_timeouts{0};
-    std::uint64_t handshake_failures{0};
+    // Transport counters: written only by the node's thread (bump), read
+    // by transport() from any thread.
+    std::atomic<std::uint64_t> connects{0};
+    std::atomic<std::uint64_t> connect_attempts{0};
+    std::atomic<std::uint64_t> partial_timeouts{0};
+    std::atomic<std::uint64_t> handshake_failures{0};
+    std::atomic<std::uint64_t> corrupt_frames{0};  ///< over every peer's dec
 
     std::thread thread;
   };
 
   class MeshContext;
   friend class MeshContext;
-
-  static std::uint64_t chan_key(ProcessId from, ProcessId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
 
   Node& node(ProcessId pid) { return *nodes_[static_cast<std::size_t>(pid)]; }
   const Node& node(ProcessId pid) const {
@@ -246,15 +249,17 @@ class Mesh {
   void attempt_connect(Node& n, ProcessId peer);
   void service_reconnects(Node& n);
   void service_timeouts(Node& n);
-  void drain_inject(Node& n);
+  void service_severs(Node& n);
   void fire_timers(Node& n);
 
   // Receive path (runs on the destination node's thread).
-  void receive_frame(Node& n, ProcessId from, wire::Message&& msg);
   void deliver_msg_step(Node& n, ProcessId from, const wire::Message& msg);
   void deliver_fn_step(Node& n, net::PostFn fn);
   void fault_sleep(Node& n);
 
+  /// Counts one timed item as pending work, pushes it on `n`'s timer heap
+  /// and wakes `n`.
+  void push_timer(Node& n, TimedItem item);
   void add_pending(std::int64_t n);
   void finish_work(std::int64_t n);
 
@@ -277,16 +282,9 @@ class Mesh {
   std::condition_variable quiesce_cv_;
   std::atomic<std::uint64_t> delivered_{0};
 
-  // Held channels: status and backlog split, as in the cluster, so crash
-  // can discard a backlog while the channel itself stays held.
-  mutable std::mutex chan_mu_;
-  std::unordered_set<std::uint64_t> held_chans_;
-  std::unordered_map<std::uint64_t, std::vector<Inject>> held_buffers_;
-  std::atomic<std::size_t> held_count_{0};
-  std::atomic<std::uint64_t> crash_dropped_{0};
-
-  net::LinkFaults link_faults_;
-  bool link_enabled_{false};
+  /// Crash, hold and link-fault policy; its send path is one branch when
+  /// no rule or held channel is active.
+  net::ChannelProxy proxy_;
 };
 
 }  // namespace rr::netio

@@ -71,13 +71,13 @@ ProcessId Cluster::add(std::unique_ptr<net::Process> p, bool active) {
   slot->active = active;
   slot->rng = seeder_.fork();
   slots_.push_back(std::move(slot));
+  proxy_.add_process();
   return static_cast<ProcessId>(slots_.size() - 1);
 }
 
 void Cluster::set_link_faults(const net::LinkFaults& lf) {
   RR_ASSERT(!started_);
-  link_faults_ = lf;
-  link_enabled_ = lf.any();
+  proxy_.set_link_faults(lf);
   Rng seeder(mix64(lf.seed ^ 0x11fa'0175'0001ULL));
   for (auto& slot : slots_) slot->link_rng = seeder.fork();
 }
@@ -93,10 +93,9 @@ void Cluster::start() {
   started_ = true;
   for (ProcessId pid = 0; pid < static_cast<ProcessId>(slots_.size());
        ++pid) {
-    auto& slot = *slots_[static_cast<std::size_t>(pid)];
-    if (slot.crashed.load(std::memory_order_relaxed)) continue;
+    if (proxy_.crashed(pid)) continue;
     ClusterContext ctx(*this, pid);
-    slot.proc->on_start(ctx);
+    slots_[static_cast<std::size_t>(pid)]->proc->on_start(ctx);
   }
   for (ProcessId pid = 0; pid < static_cast<ProcessId>(slots_.size());
        ++pid) {
@@ -240,23 +239,8 @@ Time Cluster::now() const {
 
 net::NetStats Cluster::stats() const {
   net::NetStats total;
-  for (const auto& slot : slots_) {
-    const auto& s = slot->local_stats;
-    total.messages_sent += s.messages_sent;
-    total.messages_delivered += s.messages_delivered;
-    total.messages_dropped += s.messages_dropped;
-    total.bytes_sent += s.bytes_sent;
-    total.messages_lost += s.messages_lost;
-    total.messages_duplicated += s.messages_duplicated;
-    total.messages_reordered += s.messages_reordered;
-    total.hist_slots_shipped += s.hist_slots_shipped;
-    total.hist_resyncs += s.hist_resyncs;
-    for (std::size_t i = 0; i < net::NetStats::kNumTypes; ++i) {
-      total.messages_by_type[i] += s.messages_by_type[i];
-      total.bytes_by_type[i] += s.bytes_by_type[i];
-    }
-  }
-  total.messages_dropped += crash_dropped_.load(std::memory_order_acquire);
+  for (const auto& slot : slots_) total += slot->local_stats;
+  total.messages_dropped += proxy_.dropped();
   return total;
 }
 
@@ -266,7 +250,6 @@ net::NetStats Cluster::stats() const {
 
 void Cluster::post(Time at, ProcessId pid, net::PostFn fn) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
-  pending_.fetch_add(1, std::memory_order_acq_rel);
   // Already-due closures skip the timer thread entirely: they go straight
   // into the target's cold lane, saving two context switches (post -> timer
   // wake -> enqueue) on the op-chaining hot path. This WEAKENS the old
@@ -276,12 +259,18 @@ void Cluster::post(Time at, ProcessId pid, net::PostFn fn) {
   // asynchronous model -- closure steps have no cross-process ordering
   // guarantee -- but do not rely on timed posts running in `at` order.
   if (at <= now()) {
-    enqueue_fn(pid, std::move(fn), /*already_counted=*/true);
+    enqueue_fn(pid, std::move(fn), /*already_counted=*/false);
     return;
   }
+  push_timer(TimedItem{at, 0, pid, std::move(fn)});
+}
+
+void Cluster::push_timer(TimedItem item) {
+  pending_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard lock(timer_mu_);
-    timer_heap_.push_back(TimedItem{at, timer_seq_++, pid, std::move(fn)});
+    item.seq = timer_seq_++;
+    timer_heap_.push_back(std::move(item));
     std::push_heap(timer_heap_.begin(), timer_heap_.end(), &timed_later);
   }
   timer_cv_.notify_one();
@@ -304,7 +293,11 @@ void Cluster::timer_main() {
     TimedItem item = std::move(timer_heap_.back());
     timer_heap_.pop_back();
     lock.unlock();
-    enqueue_fn(item.pid, std::move(item.fn), /*already_counted=*/true);
+    if (item.is_msg) {
+      enqueue_msg(item.pid, std::move(item.msg), /*already_counted=*/true);
+    } else {
+      enqueue_fn(item.pid, std::move(item.fn), /*already_counted=*/true);
+    }
     lock.lock();
   }
 }
@@ -360,6 +353,10 @@ void Cluster::enqueue_item(ProcessId pid, Item item, bool already_counted) {
 
 void Cluster::enqueue_msg(ProcessId pid, MsgEnvelope env,
                           bool already_counted) {
+  if (!proxy_.admit(env.from, pid)) {
+    if (already_counted) finish_work_items(1);
+    return;
+  }
   enqueue_item(pid, std::move(env), already_counted);
 }
 
@@ -383,184 +380,49 @@ bool Cluster::run_quiescent(std::chrono::milliseconds timeout) {
 }
 
 // ---------------------------------------------------------------------------
-// Crashes and held channels
+// Releasing held channels and the send path (net::ChannelProxy's policy)
 // ---------------------------------------------------------------------------
 
-void Cluster::crash(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
-  slots_[static_cast<std::size_t>(pid)]->crashed.store(
-      true, std::memory_order_release);
-  if (held_count_.load(std::memory_order_acquire) == 0) return;
-  std::uint64_t dropped = 0;
-  {
-    std::lock_guard lock(chan_mu_);
-    // The channels stay held (that is status, kept in held_chans_); only
-    // their backlog is discarded, and the buffer storage is freed outright.
-    for (auto it = held_buffers_.begin(); it != held_buffers_.end();) {
-      const auto from = static_cast<ProcessId>(it->first >> 32);
-      const auto to = static_cast<ProcessId>(it->first & 0xffffffffu);
-      if (from != pid && to != pid) {
-        ++it;
-        continue;
-      }
-      dropped += it->second.size();
-      it = held_buffers_.erase(it);
-    }
-  }
-  if (dropped > 0) {
-    crash_dropped_.fetch_add(dropped, std::memory_order_acq_rel);
-  }
-}
-
-bool Cluster::crashed(ProcessId pid) const {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
-  return slots_[static_cast<std::size_t>(pid)]->crashed.load(
-      std::memory_order_acquire);
-}
-
-void Cluster::hold(ProcessId from, ProcessId to) {
-  RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(slots_.size()));
-  RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(slots_.size()));
-  std::lock_guard lock(chan_mu_);
-  held_chans_.insert(chan_key(from, to));
-  held_count_.store(held_chans_.size(), std::memory_order_release);
-}
-
-void Cluster::hold_all(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
-  std::lock_guard lock(chan_mu_);
-  for (ProcessId q = 0; q < static_cast<ProcessId>(slots_.size()); ++q) {
-    if (q == pid) continue;  // the self-channel pid -> pid is never used
-    held_chans_.insert(chan_key(pid, q));
-    held_chans_.insert(chan_key(q, pid));
-  }
-  held_count_.store(held_chans_.size(), std::memory_order_release);
-}
-
-bool Cluster::held(ProcessId from, ProcessId to) const {
-  std::lock_guard lock(chan_mu_);
-  return held_chans_.count(chan_key(from, to)) != 0;
-}
-
+// The backlog is re-injected outside the proxy's lock: a concurrent send on
+// the just-released channel may overtake it, which is legal under the
+// asynchronous model (fresh delays on release, as in the DES).
 void Cluster::release(ProcessId from, ProcessId to) {
-  std::vector<MsgEnvelope> buffered;
-  {
-    std::lock_guard lock(chan_mu_);
-    const auto key = chan_key(from, to);
-    if (held_chans_.erase(key) == 0) return;
-    held_count_.store(held_chans_.size(), std::memory_order_release);
-    const auto it = held_buffers_.find(key);
-    if (it != held_buffers_.end()) {
-      buffered = std::move(it->second);
-      held_buffers_.erase(it);
-    }
-  }
-  // FIFO re-injection outside the channel lock: a concurrent send on the
-  // just-released channel may overtake the backlog, which is legal under
-  // the asynchronous model (fresh delays on release, as in the DES).
-  for (auto& env : buffered) {
-    enqueue_msg(to, std::move(env), /*already_counted=*/false);
-  }
+  proxy_.release(from, to, [this](ProcessId f, ProcessId t,
+                                  wire::Message&& msg) {
+    enqueue_msg(t, MsgEnvelope{f, std::move(msg)}, /*already_counted=*/false);
+  });
 }
 
 void Cluster::release_all(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
-  // (to, backlog) pairs collected under ONE lock acquisition, re-injected
-  // outside the lock (enqueue_msg takes slot locks; never nest them under
-  // chan_mu_).
-  std::vector<std::pair<ProcessId, std::vector<MsgEnvelope>>> released;
-  {
-    std::lock_guard lock(chan_mu_);
-    for (ProcessId q = 0; q < static_cast<ProcessId>(slots_.size()); ++q) {
-      for (const auto key : {chan_key(pid, q), chan_key(q, pid)}) {
-        if (held_chans_.erase(key) == 0) continue;
-        const auto it = held_buffers_.find(key);
-        if (it == held_buffers_.end()) continue;
-        released.emplace_back(static_cast<ProcessId>(key & 0xffffffffu),
-                              std::move(it->second));
-        held_buffers_.erase(it);
-      }
-    }
-    held_count_.store(held_chans_.size(), std::memory_order_release);
-  }
-  for (auto& [to, backlog] : released) {
-    for (auto& env : backlog) {
-      enqueue_msg(to, std::move(env), /*already_counted=*/false);
-    }
-  }
+  proxy_.release_all(pid, [this](ProcessId f, ProcessId t,
+                                 wire::Message&& msg) {
+    enqueue_msg(t, MsgEnvelope{f, std::move(msg)}, /*already_counted=*/false);
+  });
 }
-
-// ---------------------------------------------------------------------------
-// Transport
-// ---------------------------------------------------------------------------
 
 void Cluster::route(ProcessId from, ProcessId to, wire::Message msg) {
   RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(slots_.size()));
   RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(slots_.size()));
-  // Sender-side accounting: only the thread currently stepping `from`
-  // calls route() for it, so its slot counters need no lock.
-  auto& sent = slots_[static_cast<std::size_t>(from)]->local_stats;
-  sent.count_send(msg, opts_.account_bytes ? wire::encoded_size(msg) : 0);
-  if (crashed(from) || crashed(to)) {
-    sent.messages_dropped++;
-    return;
-  }
-  // Link faults, sender-side (same order as the DES: loss, then duplicate,
-  // then per-copy reorder in send_copy). The per-slot link_rng is safe
-  // without a lock because only the thread stepping `from` routes for it.
-  int copies = 1;
-  if (link_enabled_) {
-    auto& lrng = slots_[static_cast<std::size_t>(from)]->link_rng;
-    const Time t = now();
-    const auto& loss = link_faults_.loss;
-    if (loss.active(t) && loss.covers(from, to) && lrng.chance(loss.p)) {
-      sent.messages_lost++;
-      return;
-    }
-    const auto& dup = link_faults_.duplicate;
-    if (dup.active(t) && dup.covers(from, to) && lrng.chance(dup.p)) {
-      sent.messages_duplicated++;
-      copies = 2;
-    }
-  }
-  if (held_count_.load(std::memory_order_acquire) != 0) {
-    std::lock_guard lock(chan_mu_);
-    const auto key = chan_key(from, to);
-    if (held_chans_.count(key) != 0) {
-      auto& buf = held_buffers_[key];
-      for (int c = 1; c < copies; ++c) buf.push_back(MsgEnvelope{from, msg});
-      buf.push_back(MsgEnvelope{from, std::move(msg)});
-      return;
-    }
-  }
-  for (int c = 1; c < copies; ++c) send_copy(from, to, msg);
-  send_copy(from, to, std::move(msg));
-}
-
-void Cluster::send_copy(ProcessId from, ProcessId to, wire::Message msg) {
-  if (link_enabled_) {
-    const auto& re = link_faults_.reorder;
-    const Time t = now();
-    if (re.active(t) && re.covers(from, to) &&
-        slots_[static_cast<std::size_t>(from)]->link_rng.chance(re.p)) {
-      slots_[static_cast<std::size_t>(from)]->local_stats.messages_reordered++;
-      // Defer the copy through the timer: it re-enters the destination
-      // mailbox reorder_delay later, so fresher traffic on the same channel
-      // overtakes it. post() counts the deferred copy as pending work, so
-      // quiescence still waits for it.
-      post(t + link_faults_.reorder_delay, to,
-           net::PostFn(
-               [this, from, m = std::move(msg)](net::Context& ctx) mutable {
-                 auto& slot = *slots_[static_cast<std::size_t>(ctx.self())];
-                 if (deliver_msg(ctx, slot, MsgEnvelope{from, std::move(m)})) {
-                   delivered_.fetch_add(1, std::memory_order_relaxed);
-                 }
-               }));
-      return;
-    }
-  }
-  enqueue_msg(to, MsgEnvelope{from, std::move(msg)},
-              /*already_counted=*/false);
+  // Sender-side accounting and draws: only the thread currently stepping
+  // `from` calls route() for it, so its slot counters and link stream need
+  // no lock.
+  Slot& sender = *slots_[static_cast<std::size_t>(from)];
+  sender.local_stats.count_send(
+      msg, opts_.account_bytes ? wire::encoded_size(msg) : 0);
+  proxy_.send(from, to, std::move(msg), [this] { return now(); },
+              sender.link_rng, sender.local_stats,
+              [this, from, to](wire::Message&& copy, Time defer) {
+                if (defer == 0) {
+                  enqueue_msg(to, MsgEnvelope{from, std::move(copy)},
+                              /*already_counted=*/false);
+                  return;
+                }
+                // A reordered copy waits on the timer and re-enters the
+                // mailbox `defer` later, so fresher traffic on the channel
+                // overtakes it; it is pending work until then.
+                push_timer(TimedItem{now() + defer, 0, to, {}, true,
+                                     MsgEnvelope{from, std::move(copy)}});
+              });
 }
 
 bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, MsgEnvelope env) {
@@ -571,19 +433,9 @@ bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, MsgEnvelope env) {
     const auto us = slot.rng.uniform(0, opts_.max_jitter_us);
     if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
   }
-  // Crash checks per envelope: a crash can land mid-batch, and everything
-  // still undelivered at that point must be dropped (as under the DES).
-  if (slot.crashed.load(std::memory_order_acquire)) {
-    slot.local_stats.messages_dropped++;
-    return false;
-  }
-  if (crashed(env.from)) {
-    // Mirror the DES: a crashed sender's in-flight messages are lost too
-    // (legal in a partial run; keeps crash semantics identical across
-    // backends).
-    slot.local_stats.messages_dropped++;
-    return false;
-  }
+  // The delivery gate per envelope: a crash can land mid-batch, and
+  // everything still undelivered at that point must be dropped.
+  if (!proxy_.admit(env.from, ctx.self())) return false;
   slot.local_stats.messages_delivered++;
   if (opts_.reserialize) {
     auto round_tripped = wire::decode(wire::encode(env.msg));
@@ -604,7 +456,7 @@ void Cluster::deliver_fn(net::Context& ctx, Slot& slot, net::PostFn fn) {
   }
   // Crashed processes take no steps; posted closures are skipped (as under
   // the DES).
-  if (slot.crashed.load(std::memory_order_acquire)) return;
+  if (proxy_.crashed(ctx.self())) return;
   fn(ctx);
 }
 

@@ -35,8 +35,9 @@
 // interface:
 //   - post(at, pid, fn): timed closure steps (a timer thread moves due
 //     closures into the target's cold lane),
-//   - crash(pid) and held channels (hold/release buffers messages exactly
-//     like the proofs' "messages remain in transit" tactic),
+//   - crash(pid), held channels and link faults, all net::ChannelProxy's
+//     policy: the cluster enqueues (or timer-defers) each copy the proxy
+//     lets through and asks its delivery gate before each step,
 //   - run_quiescent(): blocks until no queued, buffered-timer, or in-flight
 //     work remains (held-channel buffers do not count, mirroring World::run),
 //   - NetStats accounting identical to the simulator's (same counting
@@ -51,14 +52,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/faults.hpp"
 #include "net/process.hpp"
+#include "net/proxy.hpp"
 #include "net/stats.hpp"
 
 namespace rr::runtime {
@@ -120,29 +120,22 @@ class Cluster {
   /// Returns false on timeout.
   bool run_quiescent(std::chrono::milliseconds timeout);
 
-  /// Crash: the process takes no further steps; queued and future messages
-  /// to or from it are dropped, as are messages buffered on held channels
-  /// adjacent to it (their buffer storage is freed; the channels stay held).
-  void crash(ProcessId pid);
-  [[nodiscard]] bool crashed(ProcessId pid) const;
-
-  /// Holds a channel: messages sent from -> to are buffered, not delivered.
-  void hold(ProcessId from, ProcessId to);
-  /// Holds every channel adjacent to `pid` except the unused self-channel.
-  /// One lock acquisition for all 2(n-1) channels.
-  void hold_all(ProcessId pid);
-  /// Releases a channel; buffered messages are enqueued in FIFO order.
+  /// Crashes and held channels follow net::ChannelProxy's rules (see
+  /// net/proxy.hpp). A released backlog is enqueued FIFO.
+  void crash(ProcessId pid) { proxy_.crash(pid); }
+  void hold(ProcessId from, ProcessId to) { proxy_.hold(from, to); }
+  void hold_all(ProcessId pid) { proxy_.hold_all(pid); }
   void release(ProcessId from, ProcessId to);
-  /// Releases every channel adjacent to `pid` under one lock acquisition;
-  /// each channel's backlog is re-injected in FIFO order.
   void release_all(ProcessId pid);
-  [[nodiscard]] bool held(ProcessId from, ProcessId to) const;
+  [[nodiscard]] bool held(ProcessId from, ProcessId to) const {
+    return proxy_.held(from, to);
+  }
 
   /// Installs probabilistic link faults (loss / duplication / reorder),
   /// mirroring sim::World::set_link_faults. Must be called after the last
   /// add() and before start(): each slot gets its own fault-sampling RNG
   /// (route() for `from` only ever runs on the thread stepping `from`, so
-  /// the per-sender stream needs no lock). Reordered messages are deferred
+  /// the per-sender stream needs no lock). Reordered copies are deferred
   /// through the timer by `lf.reorder_delay` wall-nanoseconds.
   void set_link_faults(const net::LinkFaults& lf);
 
@@ -184,7 +177,6 @@ class Cluster {
     /// Link-fault sampling stream; touched only by the thread stepping
     /// this process (route() is sender-side), see set_link_faults.
     Rng link_rng{0};
-    std::atomic<bool> crashed{false};
     /// Gray (slow-but-alive) injected per-step delay; 0 = healthy.
     std::atomic<std::uint64_t> gray_ns{0};
     /// Step-exclusivity token: held by whichever thread is currently
@@ -231,11 +223,15 @@ class Cluster {
     }
   };
 
+  /// A timed closure, or (is_msg) a reorder-deferred copy that re-enters
+  /// `pid`'s hot lane through the delivery gate when due.
   struct TimedItem {
     Time at{};
     std::uint64_t seq{};
     ProcessId pid{kNoProcess};
     net::PostFn fn{};
+    bool is_msg{false};
+    MsgEnvelope msg{};
   };
 
   /// Heap order for timer_heap_ (min-heap on (at, seq)); the single source
@@ -245,22 +241,17 @@ class Cluster {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
-  [[nodiscard]] static std::uint64_t chan_key(ProcessId from, ProcessId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
-
   void route(ProcessId from, ProcessId to, wire::Message msg);
-  /// One physical copy leaving `from`: applies the reorder rule (deferring
-  /// the copy through the timer) or enqueues it normally.
-  void send_copy(ProcessId from, ProcessId to, wire::Message msg);
+  /// Counts one timed item as pending work and pushes it on the timer heap.
+  void push_timer(TimedItem item);
   /// Appends to `pid`'s hot/cold lane -- unless the destination is an idle
   /// active process, in which case the work is delivered directly on the
   /// calling thread (see direct_delivery_). `already_counted` says whether
   /// this work item was already added to pending_ (timer items are counted
   /// at post() time so quiescence never observes a gap between timer pop
   /// and enqueue). Notifies the consumer only on empty -> non-empty.
+  /// Messages pass the proxy's delivery gate first, so a copy to a crashed
+  /// slot is dropped here and passive slots nobody drives still quiesce.
   void enqueue_msg(ProcessId pid, MsgEnvelope env, bool already_counted);
   void enqueue_fn(ProcessId pid, net::PostFn fn, bool already_counted);
   void finish_work_items(std::int64_t n);
@@ -275,7 +266,7 @@ class Cluster {
   template <class Item>
   void enqueue_item(ProcessId pid, Item item, bool already_counted);
 
-  /// Delivers one hot-lane envelope as a step of `pid` (crash checks,
+  /// Delivers one hot-lane envelope as a step of `pid` (delivery gate,
   /// jitter, optional codec round-trip). Returns true when the message was
   /// actually delivered (vs. dropped). Does not touch pending_/delivered_.
   bool deliver_msg(net::Context& ctx, Slot& slot, MsgEnvelope env);
@@ -326,23 +317,9 @@ class Cluster {
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
 
-  // Held channels (cold path: guarded by one mutex; the atomic count keeps
-  // the no-holds fast path lock-free). Held *status* lives in held_chans_;
-  // held_buffers_ only carries channels with a backlog, so crash() can free
-  // a discarded buffer outright while the channel stays held.
-  mutable std::mutex chan_mu_;
-  std::atomic<std::size_t> held_count_{0};
-  std::unordered_set<std::uint64_t> held_chans_;
-  std::unordered_map<std::uint64_t, std::vector<MsgEnvelope>> held_buffers_;
-
-  /// Held-buffer messages discarded by crash(); kept apart from the
-  /// per-slot counters because crash() may run on any thread.
-  std::atomic<std::uint64_t> crash_dropped_{0};
-
-  // Gray-failure library state (see set_link_faults / set_gray). Both off
-  // by default; the transport fast path pays one branch.
-  net::LinkFaults link_faults_{};
-  bool link_enabled_{false};
+  /// Crash, hold and link-fault policy; its send path is one branch when
+  /// no rule or held channel is active.
+  net::ChannelProxy proxy_;
 };
 
 }  // namespace rr::runtime

@@ -38,7 +38,8 @@ World::~World() = default;
 ProcessId World::add_process(std::unique_ptr<net::Process> p) {
   RR_ASSERT(p != nullptr);
   const auto pid = static_cast<ProcessId>(procs_.size());
-  procs_.push_back(ProcSlot{std::move(p), rng_.fork(), false});
+  procs_.push_back(ProcSlot{std::move(p), rng_.fork()});
+  proxy_.add_process();
   return pid;
 }
 
@@ -54,8 +55,7 @@ void World::set_delay_model(std::unique_ptr<DelayModel> m) {
 }
 
 void World::set_link_faults(const net::LinkFaults& lf) {
-  link_faults_ = lf;
-  link_enabled_ = lf.any();
+  proxy_.set_link_faults(lf);
   link_rng_ = Rng(mix64(lf.seed ^ 0x11fa'0175'0000ULL));
 }
 
@@ -84,10 +84,9 @@ net::Process& World::process(ProcessId pid) {
 
 void World::start() {
   for (ProcessId pid = 0; pid < num_processes(); ++pid) {
-    auto& slot = procs_[static_cast<std::size_t>(pid)];
-    if (slot.crashed) continue;
+    if (proxy_.crashed(pid)) continue;
     WorldContext ctx(*this, pid);
-    slot.proc->on_start(ctx);
+    procs_[static_cast<std::size_t>(pid)].proc->on_start(ctx);
   }
 }
 
@@ -150,111 +149,23 @@ void World::post(Time at, ProcessId pid, net::PostFn fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Crashes and held channels
+// Releasing held channels (net::ChannelProxy's policy)
 // ---------------------------------------------------------------------------
 
-World::BufferIndex World::alloc_buffer() {
-  if (!buffer_free_.empty()) {
-    const BufferIndex idx = buffer_free_.back();
-    buffer_free_.pop_back();
-    return idx;
-  }
-  buffer_pool_.emplace_back();
-  return static_cast<BufferIndex>(buffer_pool_.size() - 1);
-}
-
-void World::recycle_buffer(BufferIndex idx) {
-  buffer_pool_[idx].clear();  // keeps capacity for the next hold wave
-  buffer_free_.push_back(idx);
-}
-
-void World::crash(ProcessId pid) {
-  RR_ASSERT(pid >= 0 && pid < num_processes());
-  procs_[static_cast<std::size_t>(pid)].crashed = true;
-  // Discard buffers held on channels adjacent to the crashed process: those
-  // messages could only ever be dropped at delivery, so freeing them now
-  // keeps long chaos runs from pinning dead history payloads.
-  if (held_count_ == 0) return;
-  for (auto it = held_buffers_.begin(); it != held_buffers_.end();) {
-    const auto from = static_cast<ProcessId>(it->first >> 32);
-    const auto to = static_cast<ProcessId>(it->first & 0xffffffffu);
-    if (from != pid && to != pid) {
-      ++it;
-      continue;
-    }
-    stats_.messages_dropped += buffer_pool_[it->second].size();
-    recycle_buffer(it->second);
-    it = held_buffers_.erase(it);
-  }
-}
-
-bool World::crashed(ProcessId pid) const {
-  RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(procs_.size()));
-  return procs_[static_cast<std::size_t>(pid)].crashed;
-}
-
-void World::ensure_flag_capacity() {
-  const auto n = static_cast<std::size_t>(num_processes());
-  if (n <= flag_stride_) return;
-  std::vector<std::uint8_t> grown(n * n, 0);
-  for (std::size_t f = 0; f < flag_stride_; ++f) {
-    for (std::size_t t = 0; t < flag_stride_; ++t) {
-      grown[f * n + t] = held_flags_[f * flag_stride_ + t];
-    }
-  }
-  held_flags_ = std::move(grown);
-  flag_stride_ = n;
-}
-
-void World::hold(ProcessId from, ProcessId to) {
-  RR_ASSERT(from >= 0 && from < num_processes());
-  RR_ASSERT(to >= 0 && to < num_processes());
-  ensure_flag_capacity();
-  auto& flag =
-      held_flags_[static_cast<std::size_t>(from) * flag_stride_ +
-                  static_cast<std::size_t>(to)];
-  if (flag != 0) return;
-  flag = 1;
-  ++held_count_;
-}
-
-void World::hold_all(ProcessId pid) {
-  for (ProcessId q = 0; q < num_processes(); ++q) {
-    if (q == pid) continue;  // the self-channel pid -> pid is never used
-    hold(pid, q);
-    hold(q, pid);
-  }
-}
-
-bool World::held(ProcessId from, ProcessId to) const {
-  return chan_flag(from, to);
-}
-
+// Released backlogs are re-injected with fresh delays from `now`, in FIFO
+// order (the event sequence numbers keep send order among equal times).
 void World::release(ProcessId from, ProcessId to) {
-  if (!chan_flag(from, to)) return;
-  held_flags_[static_cast<std::size_t>(from) * flag_stride_ +
-              static_cast<std::size_t>(to)] = 0;
-  --held_count_;
-  const auto it = held_buffers_.find(chan_key(from, to));
-  if (it == held_buffers_.end()) return;
-  const BufferIndex idx = it->second;
-  held_buffers_.erase(it);
-  // Re-inject with fresh delays from `now`, preserving send order via the
-  // monotonically increasing sequence numbers. Scheduling only touches the
-  // event slab, never the buffer pool, so draining in place is safe; the
-  // drained buffer goes back to the free list with its capacity intact.
-  for (auto& msg : buffer_pool_[idx]) {
-    const Time d = channel_delay(from, to);
-    schedule_delivery(from, to, std::move(msg), now_ + d);
-  }
-  recycle_buffer(idx);
+  proxy_.release(from, to, [this](ProcessId f, ProcessId t,
+                                  wire::Message&& msg) {
+    schedule_copy(f, t, std::move(msg), 0);
+  });
 }
 
 void World::release_all(ProcessId pid) {
-  for (ProcessId q = 0; q < num_processes(); ++q) {
-    release(pid, q);
-    release(q, pid);
-  }
+  proxy_.release_all(pid, [this](ProcessId f, ProcessId t,
+                                 wire::Message&& msg) {
+    schedule_copy(f, t, std::move(msg), 0);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -264,43 +175,12 @@ void World::release_all(ProcessId pid) {
 void World::do_send(ProcessId from, ProcessId to, wire::Message msg) {
   RR_ASSERT(to >= 0 && to < num_processes());
   stats_.count_send(msg, opts_.account_bytes ? wire::encoded_size(msg) : 0);
-  // Link faults fire at send time, before hold buffering, so a held channel
-  // still loses/duplicates traffic. Draw order is fixed (loss, then
-  // duplicate, then per-copy reorder at scheduling) from the dedicated
-  // link RNG, keeping the base delay stream untouched.
-  int copies = 1;
-  if (link_enabled_) {
-    const auto& loss = link_faults_.loss;
-    if (loss.active(now_) && loss.covers(from, to) &&
-        link_rng_.chance(loss.p)) {
-      stats_.messages_lost++;
-      return;
-    }
-    const auto& dup = link_faults_.duplicate;
-    if (dup.active(now_) && dup.covers(from, to) &&
-        link_rng_.chance(dup.p)) {
-      stats_.messages_duplicated++;
-      copies = 2;
-    }
-  }
-  if (held_count_ != 0 && chan_flag(from, to)) {
-    // A buffer on a channel adjacent to a crashed endpoint could only ever
-    // be purged (crash() discards it; delivery would drop it), so don't
-    // let post-crash sends refill it and pin memory until release.
-    if (procs_[static_cast<std::size_t>(to)].crashed ||
-        procs_[static_cast<std::size_t>(from)].crashed) {
-      stats_.messages_dropped++;
-      return;
-    }
-    auto [it, inserted] = held_buffers_.try_emplace(chan_key(from, to), 0);
-    if (inserted) it->second = alloc_buffer();
-    auto& buf = buffer_pool_[it->second];
-    for (int c = 1; c < copies; ++c) buf.push_back(msg);
-    buf.push_back(std::move(msg));
-    return;
-  }
-  for (int c = 1; c < copies; ++c) schedule_with_faults(from, to, msg);
-  schedule_with_faults(from, to, std::move(msg));
+  // Fault draws come from the dedicated link stream; channel delays from
+  // the base stream, so enabling a rule never perturbs the delay sequence.
+  proxy_.send(from, to, std::move(msg), [this] { return now_; }, link_rng_,
+              stats_, [this, from, to](wire::Message&& copy, Time defer) {
+                schedule_copy(from, to, std::move(copy), defer);
+              });
 }
 
 Time World::channel_delay(ProcessId from, ProcessId to) {
@@ -314,21 +194,9 @@ Time World::channel_delay(ProcessId from, ProcessId to) {
   return scale_delay(d, m);
 }
 
-void World::schedule_with_faults(ProcessId from, ProcessId to,
-                                 wire::Message msg) {
-  Time d = channel_delay(from, to);
-  if (link_enabled_) {
-    const auto& re = link_faults_.reorder;
-    if (re.active(now_) && re.covers(from, to) && link_rng_.chance(re.p)) {
-      stats_.messages_reordered++;
-      d += link_faults_.reorder_delay;
-    }
-  }
-  schedule_delivery(from, to, std::move(msg), now_ + d);
-}
-
-void World::schedule_delivery(ProcessId from, ProcessId to, wire::Message msg,
-                              Time at) {
+void World::schedule_copy(ProcessId from, ProcessId to, wire::Message msg,
+                          Time defer) {
+  const Time at = now_ + channel_delay(from, to) + defer;
   const EventIndex idx = alloc_event();
   keys_[idx] = EventKey{at, next_seq_++, to, /*is_delivery=*/true};
   EventBody& body = bodies_[idx];
@@ -337,15 +205,9 @@ void World::schedule_delivery(ProcessId from, ProcessId to, wire::Message msg,
   heap_push(idx);
 }
 
-void World::deliver_one(net::Context& ctx, ProcSlot& slot, ProcessId from,
+void World::deliver_one(WorldContext& ctx, ProcSlot& slot, ProcessId from,
                         wire::Message& msg) {
-  if (slot.crashed || crashed(from)) {
-    // Crash-faulty endpoints: the message is lost. (For the paper's
-    // purposes only the recipient matters, but a crashed sender's in-flight
-    // messages disappearing is also legal in a partial run.)
-    stats_.messages_dropped++;
-    return;
-  }
+  if (!proxy_.admit(from, ctx.self())) return;
   stats_.messages_delivered++;
   if (opts_.reserialize) {
     auto round_tripped = wire::decode(wire::encode(msg));
@@ -394,7 +256,7 @@ bool World::step() {
   WorldContext ctx(*this, key.dest);
   if (key.is_delivery) {
     deliver_one(ctx, slot, body.from, body.msg);
-  } else if (!slot.crashed) {
+  } else if (!proxy_.crashed(key.dest)) {
     body.fn(ctx);
   }
   return true;
@@ -415,7 +277,7 @@ std::uint64_t World::step_batch() {
   auto& slot = procs_[static_cast<std::size_t>(key.dest)];
   WorldContext ctx(*this, key.dest);
   if (!key.is_delivery) {
-    if (!slot.crashed) body.fn(ctx);
+    if (!proxy_.crashed(key.dest)) body.fn(ctx);
     return 1;
   }
   deliver_one(ctx, slot, body.from, body.msg);

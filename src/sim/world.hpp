@@ -3,10 +3,11 @@
 // The World owns a set of processes (net::Process automata), a virtual
 // clock, and an event queue of pending message deliveries and scheduled
 // closures. Channels are reliable point-to-point links whose delays come
-// from a pluggable DelayModel; on top of that, individual channels can be
-// *held* (messages buffered indefinitely, realizing the proofs'
-// "messages remain in transit") and later *released*, and processes can be
-// crashed at any point.
+// from a pluggable DelayModel. Crashes, held channels (messages buffered
+// indefinitely, realizing the proofs' "messages remain in transit") and
+// link faults are net::ChannelProxy's policy; the World is its "deliver
+// now / deliver after a delay" sink and asks its delivery gate before each
+// step.
 //
 // Everything is deterministic given the seed: events are ordered by
 // (virtual time, insertion sequence).
@@ -33,22 +34,19 @@
 //   - Byte accounting uses wire::encoded_size(), a counting visitor that
 //     never materializes the encoded bytes.
 //   - Per-type stats are fixed arrays indexed by Message::variant index;
-//     the held-channel check is a packed-key flag table behind a
-//     held-channel count so the common no-holds case is a single branch.
+//     with no link fault and no held channel, the proxy's send path is a
+//     single branch.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/faults.hpp"
 #include "net/process.hpp"
+#include "net/proxy.hpp"
 #include "net/stats.hpp"
 #include "sim/delay.hpp"
 #include "wire/messages.hpp"
@@ -76,6 +74,8 @@ struct WorldOptions {
   /// handful of arithmetic ops per event on the hot path.
   bool trace_fingerprint{false};
 };
+
+class WorldContext;
 
 class World {
  public:
@@ -105,31 +105,23 @@ class World {
   /// PostFn's inline buffer are stored without heap allocation.
   void post(Time at, ProcessId pid, net::PostFn fn);
 
-  /// Crash: the process takes no further steps; all messages to and from it
-  /// that are not yet delivered are dropped, as are future sends. Messages
-  /// buffered on held channels adjacent to the process are discarded
-  /// immediately (counted as dropped) so they do not pin memory for the
-  /// rest of the run.
-  void crash(ProcessId pid);
-  [[nodiscard]] bool crashed(ProcessId pid) const;
-
-  /// Holds a channel: messages sent from -> to are buffered, not scheduled.
-  void hold(ProcessId from, ProcessId to);
-  /// Holds every channel adjacent to `pid` (both directions, all peers
-  /// except the self-channel pid -> pid, which local computation never
-  /// uses).
-  void hold_all(ProcessId pid);
-  /// Releases a channel; buffered messages are scheduled for delivery with
-  /// fresh delays starting at the current time. FIFO order is preserved.
+  /// Crashes and held channels follow net::ChannelProxy's rules (see
+  /// net/proxy.hpp). A released backlog is scheduled FIFO with fresh delays
+  /// from the current time.
+  void crash(ProcessId pid) { proxy_.crash(pid); }
+  void hold(ProcessId from, ProcessId to) { proxy_.hold(from, to); }
+  void hold_all(ProcessId pid) { proxy_.hold_all(pid); }
   void release(ProcessId from, ProcessId to);
   void release_all(ProcessId pid);
-  [[nodiscard]] bool held(ProcessId from, ProcessId to) const;
+  [[nodiscard]] bool held(ProcessId from, ProcessId to) const {
+    return proxy_.held(from, to);
+  }
 
   /// Installs probabilistic link faults (loss / duplication / reorder).
   /// Sampling draws from a dedicated RNG stream seeded by `lf.seed`, so the
-  /// base delay sequence of unaffected channels is untouched. Loss and
-  /// duplication apply at send time (before hold buffering); reorder defers
-  /// a scheduled delivery by `lf.reorder_delay`.
+  /// base delay sequence of unaffected channels is untouched; the draw
+  /// rules are net::ChannelProxy's. A reordered copy's delivery is deferred
+  /// by `lf.reorder_delay`.
   void set_link_faults(const net::LinkFaults& lf);
 
   /// Marks `pid` gray (slow-but-alive): sampled delays on every channel
@@ -176,8 +168,11 @@ class World {
   [[nodiscard]] std::uint64_t schedule_fingerprint() const { return fp_; }
 
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] const NetStats& stats() const { return stats_; }
-  NetStats& mutable_stats() { return stats_; }
+  [[nodiscard]] NetStats stats() const {
+    NetStats total = stats_;
+    total.messages_dropped += proxy_.dropped();
+    return total;
+  }
   [[nodiscard]] int num_processes() const {
     return static_cast<int>(procs_.size());
   }
@@ -208,22 +203,21 @@ class World {
   struct ProcSlot {
     std::unique_ptr<net::Process> proc;
     Rng rng;
-    bool crashed{false};
   };
 
   void do_send(ProcessId from, ProcessId to, wire::Message msg);
-  void schedule_delivery(ProcessId from, ProcessId to, wire::Message msg,
-                         Time at);
+  /// The proxy's sink: schedules one copy after a sampled channel delay
+  /// plus `defer` (used per sent copy and by release re-injection).
+  void schedule_copy(ProcessId from, ProcessId to, wire::Message msg,
+                     Time defer);
   /// Samples the channel delay and applies the gray multiplier of either
-  /// endpoint (used by do_send and by release re-injection).
+  /// endpoint.
   [[nodiscard]] Time channel_delay(ProcessId from, ProcessId to);
-  /// Non-held scheduling with the reorder rule applied; used per copy.
-  void schedule_with_faults(ProcessId from, ProcessId to, wire::Message msg);
   /// Executes one event plus, for deliveries, the whole run of queued
   /// deliveries with the same (time, dest). Returns events executed.
   std::uint64_t step_batch();
-  /// Runs one delivery's handler (crash filtering + reserialize + stats).
-  void deliver_one(net::Context& ctx, ProcSlot& slot, ProcessId from,
+  /// Runs one delivery's handler (delivery gate + reserialize + stats).
+  void deliver_one(WorldContext& ctx, ProcSlot& slot, ProcessId from,
                    wire::Message& msg);
 
   /// Folds one executed event into the schedule fingerprint (SplitMix64
@@ -241,21 +235,6 @@ class World {
   void heap_push(EventIndex idx);
   [[nodiscard]] EventIndex heap_pop();
 
-  // Held-channel bookkeeping. Channel keys pack (from, to) into one u64;
-  // the flag table is a flat n*n byte array for O(1) membership tests.
-  [[nodiscard]] static std::uint64_t chan_key(ProcessId from, ProcessId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
-  void ensure_flag_capacity();
-  [[nodiscard]] bool chan_flag(ProcessId from, ProcessId to) const {
-    const auto f = static_cast<std::size_t>(from);
-    const auto t = static_cast<std::size_t>(to);
-    return f < flag_stride_ && t < flag_stride_ &&
-           held_flags_[f * flag_stride_ + t] != 0;
-  }
-
   Options opts_;
   Rng rng_;
   Time now_{0};
@@ -269,27 +248,12 @@ class World {
   std::vector<EventIndex> free_;    ///< recycled slab slots
   std::vector<EventIndex> heap_;    ///< 4-ary min-heap of slab indices
 
-  // Held-channel buffers live in a pooled arena: each held channel owns one
-  // recycled std::vector<Message> (FIFO by construction -- buffers are only
-  // appended to, and drained whole on release/crash). Returning a drained
-  // buffer to the free list keeps its capacity, so steady-state hold/release
-  // waves buffer messages without per-message or per-wave allocation.
-  using BufferIndex = std::uint32_t;
-  [[nodiscard]] BufferIndex alloc_buffer();
-  void recycle_buffer(BufferIndex idx);
-
-  std::size_t held_count_{0};       ///< number of currently held channels
-  std::size_t flag_stride_{0};      ///< row width of held_flags_
-  std::vector<std::uint8_t> held_flags_;
-  std::unordered_map<std::uint64_t, BufferIndex> held_buffers_;
-  std::vector<std::vector<wire::Message>> buffer_pool_;
-  std::vector<BufferIndex> buffer_free_;
-
-  // Gray-failure library state. All empty/disabled by default: the hot path
-  // pays one predictable branch (link_enabled_, gray_.empty()) per send.
-  net::LinkFaults link_faults_{};
-  bool link_enabled_{false};
+  /// Crash, hold and link-fault policy (the proxy's send path is one
+  /// predictable branch when no rule or held channel is active).
+  net::ChannelProxy proxy_;
   Rng link_rng_{0};                 ///< dedicated stream for fault sampling
+  // Gray and skew state, empty by default: the hot path pays one
+  // predictable branch (gray_.empty()) per send.
   std::vector<double> gray_;        ///< per-pid delay multiplier (1 = none)
   std::vector<std::int64_t> skew_;  ///< per-pid local-clock offset
 

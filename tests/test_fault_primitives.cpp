@@ -1,11 +1,14 @@
 // Gray-failure fault library: the new primitives -- seeded loss /
 // duplication / reorder, asymmetric partitions, flapping channels,
 // slow-but-alive gray processes, clock skew -- behave identically enough
-// across both backends to share one scenario format: same NetStats
-// accounting, same Scenario encoding, same verdict logic. Clock skew is
+// across the backends to share one scenario format: same NetStats
+// accounting, same Scenario encoding, same verdict logic. Crash, hold and
+// link faults are one net::ChannelProxy on every backend; the parity
+// probes below pin its rules through harness::Backend. Clock skew is
 // DES-only (wall clocks don't lie) and the Backend contract says so.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "harness/deployment.hpp"
@@ -115,6 +118,112 @@ TEST_P(FaultPrimitivesOnBothBackends, GrayProcessStaysCorrectJustSlow) {
   s.events.push_back(ev);
   const CellVerdict v = SweepEngine::run_cell(s);
   EXPECT_TRUE(v.ok) << v.first_violation;
+}
+
+// ---------------------------------------------------------------------------
+// Parity probes: the proxy's rules, driven through the Backend interface.
+// ---------------------------------------------------------------------------
+
+/// Takes every delivery and sends nothing.
+class Quiet final : public net::Process {
+ public:
+  void on_message(net::Context&, ProcessId, const wire::Message&) override {}
+};
+
+std::unique_ptr<Backend> probe_backend(BackendKind kind, int n,
+                                       const net::LinkFaults& lf) {
+  BackendConfig cfg;
+  cfg.seed = 3;
+  cfg.max_wall_time_ms = 20'000;  // a stall becomes timed_out(), not a hang
+  auto b = make_backend(kind, cfg);
+  for (int i = 0; i < n; ++i) b->add_process(std::make_unique<Quiet>());
+  b->set_link_faults(lf);
+  return b;
+}
+
+/// A step that sends `count` messages to `to` (posted to the sender).
+net::PostFn send_burst(ProcessId to, int count) {
+  return [to, count](net::Context& ctx) {
+    for (int i = 0; i < count; ++i) {
+      ctx.send(to, wire::WAckMsg{static_cast<Ts>(i)});
+    }
+  };
+}
+
+// Every copy is accounted exactly once, whatever path it takes: lost,
+// duplicated, reorder-deferred past its destination's crash, held and
+// released late, or sent after the crash.
+TEST_P(FaultPrimitivesOnBothBackends, EveryCopyIsAccountedOnce) {
+  net::LinkFaults lf;
+  lf.loss.p = 0.1;
+  lf.duplicate.p = 0.3;
+  lf.reorder.p = 0.5;
+  lf.reorder_delay = 50'000'000;  // 50 ms: deferrals outlive the crash
+  lf.seed = 17;
+  auto b = probe_backend(GetParam(), 3, lf);
+  Backend* raw = b.get();
+  const ProcessId x = 0;
+  const ProcessId y = 1;
+  const ProcessId z = 2;
+  b->hold(x, z);
+  b->start();
+  const Time t0 = b->now();
+  for (int i = 0; i < 400; ++i) {
+    b->post(t0 + static_cast<Time>(i) * 25'000, x,
+            send_burst(i % 2 == 0 ? y : z, 1));
+  }
+  b->post(t0 + 5'000'000, x, [raw, y](net::Context&) { raw->crash(y); });
+  b->post(t0 + 20'000'000, x,
+          [raw, x, z](net::Context&) { raw->release(x, z); });
+  b->run();
+  ASSERT_FALSE(b->timed_out());
+  const net::NetStats st = b->stats();
+  EXPECT_EQ(st.messages_sent, 400u);
+  EXPECT_GT(st.messages_lost, 0u);
+  EXPECT_GT(st.messages_duplicated, 0u);
+  EXPECT_GT(st.messages_reordered, 0u);
+  EXPECT_GT(st.messages_dropped, 0u);
+  EXPECT_EQ(st.messages_sent + st.messages_duplicated,
+            st.messages_delivered + st.messages_dropped + st.messages_lost);
+}
+
+// Draws apply to every send, whatever the endpoints' crash state; the
+// copies die at the delivery gate.
+TEST_P(FaultPrimitivesOnBothBackends, DuplicatesToACrashedProcessAreDropped) {
+  net::LinkFaults lf;
+  lf.duplicate.p = 0.5;
+  lf.seed = 23;
+  auto b = probe_backend(GetParam(), 2, lf);
+  b->crash(1);
+  b->start();
+  b->post(0, 0, send_burst(1, 1000));
+  b->run();
+  ASSERT_FALSE(b->timed_out());
+  const net::NetStats st = b->stats();
+  EXPECT_EQ(st.messages_sent, 1000u);
+  EXPECT_GT(st.messages_duplicated, 0u);
+  EXPECT_EQ(st.messages_dropped, st.messages_sent + st.messages_duplicated);
+  EXPECT_EQ(st.messages_delivered, 0u);
+}
+
+// The hold point is the sender, before the reorder draw, and release
+// re-injects without one.
+TEST_P(FaultPrimitivesOnBothBackends, HeldCopiesAreNeverReordered) {
+  net::LinkFaults lf;
+  lf.reorder.p = 1.0;
+  lf.seed = 29;
+  auto b = probe_backend(GetParam(), 2, lf);
+  b->hold(0, 1);
+  b->start();
+  b->post(0, 0, send_burst(1, 1000));
+  b->run();
+  EXPECT_EQ(b->stats().messages_delivered, 0u) << "held copies are in transit";
+  b->release(0, 1);
+  b->run();
+  ASSERT_FALSE(b->timed_out());
+  const net::NetStats st = b->stats();
+  EXPECT_EQ(st.messages_reordered, 0u);
+  EXPECT_EQ(st.messages_delivered, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FaultPrimitivesOnBothBackends,
