@@ -36,6 +36,15 @@ std::string protocol_list() {
   return out;
 }
 
+std::string strategy_list() {
+  std::string out;
+  for (const auto k : adversary::kAllStrategies) {
+    if (!out.empty()) out += " ";
+    out += adversary::to_string(k);
+  }
+  return out;
+}
+
 struct Args {
   std::string protocol = "safe";
   std::string backend = "des";
@@ -96,9 +105,8 @@ void usage() {
       "[--byz-count=N]\n"
       "  [--crashes=N] [--writes=N] [--reads=N] [--history-limit=N] "
       "[--chaos] [--seed=N]\n"
-      "strategies: silent amnesiac forger accuser equivocator stagger "
-      "collude random\n",
-      protocol_list().c_str());
+      "strategies: %s\n",
+      protocol_list().c_str(), strategy_list().c_str());
 }
 
 }  // namespace
@@ -138,9 +146,14 @@ int main(int argc, char** argv) {
   opts.history_limit = a.history_limit;
   int byz = 0;
   if (!a.byzantine.empty()) {
+    const auto strategy = adversary::strategy_from_name(a.byzantine);
+    if (!strategy) {
+      std::fprintf(stderr, "unknown strategy '%s' (known: %s)\n",
+                   a.byzantine.c_str(), strategy_list().c_str());
+      return 2;
+    }
     byz = a.byz_count >= 0 ? a.byz_count : a.b;
-    opts.faults = harness::FaultPlan::mixed(
-        byz, adversary::strategy_from_name(a.byzantine), a.crashes);
+    opts.faults = harness::FaultPlan::mixed(byz, *strategy, a.crashes);
   } else if (a.crashes > 0) {
     opts.faults = harness::FaultPlan::crash_only(a.crashes);
   }

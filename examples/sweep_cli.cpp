@@ -1,31 +1,32 @@
-// Scenario sweep CLI: run a deterministic {protocol x backend x fault
-// template x seed} grid of adversarial scenarios, shrink any failure to a
-// minimal schedule, and replay any cell by its key.
+// Scenario sweep CLI: run a list of scenarios -- committed .scn files and
+// seeded fuzz batches -- in parallel, shrink any unexpected failure to a
+// minimal schedule, and replay any cell by its name.
 //
-//   $ ./sweep_cli --quick                 # the CI grid: 1008 cells
-//   $ ./sweep_cli --protocols=safe,auth --backends=des --seeds=200
-//   $ ./sweep_cli --replay safe:des:chaos:42
-//   $ ./sweep_cli --templates=overload --backends=des --seeds=2
-//       (deliberate liveness violations; exercises shrink + replay)
+//   $ ./sweep_cli --fuzz seed=1 count=1008 --protocols=safe,regular,abd
+//       (the CI batch: 1008 generated cells, all of which must pass)
+//   $ ./sweep_cli --fuzz seed=8 count=50 overload=0.1 fixtures=fuzz-failures/
+//       (overload cells break the budget on purpose and must fail;
+//        unexpected failures shrink into replayable .scn fixtures)
 //   $ ./sweep_cli --scenarios scenarios/              # the scenario library
 //   $ ./sweep_cli --scenario tests/fixtures/scenarios/foo.scn
-//   $ ./sweep_cli --replay safe:des:chaos:42 --emit-scenario foo.scn
-//       (export any cell -- or a shrunk failure -- as a DSL file)
-//   $ ./sweep_cli --fuzz seed=20260808 count=500 fixtures=fuzz-failures/
-//       (seeded generator batch; failures auto-shrink into .scn fixtures)
+//   $ ./sweep_cli --fuzz seed=1 count=1008 --replay fuzz-1-42
+//   $ ./sweep_cli --scenarios scenarios/ --replay legacy-chaos
+//       (re-run one cell by name; --emit-scenario FILE exports it --
+//        shrunk first when it fails unexpectedly on the DES -- as a file)
 //   $ ./sweep_cli --coverage --scenarios scenarios,tests/fixtures/scenarios
 //       (the primitive x protocol x budget matrix those files exercise)
 //
 // Writes BENCH_scenario_sweep.json with per-cell verdicts and, for every
-// failure, the minimal fault schedule plus the --replay flag reproducing it.
-// Exits nonzero when any cell fails (scenario cells fail when the verdict
-// differs from their "expect" line).
+// unexpected failure, the minimal fault schedule as DSL `fault` lines plus
+// the --replay flag reproducing it. Exits 1 when any cell's verdict differs
+// from its expectation (a .scn file's "expect" line; fuzz overload cells
+// expect to fail), 2 on a usage error.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "harness/fuzz.hpp"
@@ -58,51 +59,48 @@ std::vector<std::string> split_commas(const std::string& in) {
   return out;
 }
 
+/// Parses all of `text` as a number: false on an empty string or any
+/// stray character, so a typo is a usage error, never a silent default.
+template <typename T>
+bool parse_number(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
 void usage() {
   std::printf(
-      "usage: sweep_cli [--quick] [--protocols=%s|all,...]\n"
-      "  [--backends=des,threads,net|both|all] [--templates=none,crash,byz,"
-      "mixed,"
-      "chaos,byzchaos,overload|default]\n"
-      "  (default = the 6 budget-respecting templates; the deliberately-"
-      "failing overload\n   template must be named explicitly)\n"
-      "  [--seeds=N] [--base-seed=N] [--t=N] [--b=N] [--readers=N]\n"
-      "  [--writes=N] [--reads=N] [--check=safe|regular|atomic] [--jobs=N]\n"
-      "  [--json=PATH] [--replay KEY] [--emit-scenario FILE]\n"
-      "  [--scenarios DIR[,DIR...]] [--scenario FILE] [--check]\n"
+      "usage: sweep_cli [--scenarios DIR[,DIR...]]\n"
       "  [--fuzz [seed=K] [count=N] [overload=RATE] [fixtures=DIR]]\n"
+      "  [--protocols=%s|all,...] [--backends=des,threads,net|both|all]\n"
+      "  [--check=safe|regular|atomic] [--jobs=N] [--json=PATH] [--check]\n"
+      "  [--replay NAME] [--emit-scenario FILE] [--scenario FILE]\n"
       "  [--coverage]\n"
-      "With --scenarios and no grid flags, only the library runs. --replay\n"
-      "with --emit-scenario writes the cell (shrunk first when it fails on\n"
-      "the DES) as a scenario file instead of just replaying it.\n"
-      "--fuzz runs a seeded generator batch (scoped by --protocols/\n"
-      "--backends/--check); unexpected failures shrink and land in\n"
-      "fixtures=DIR as replayable .scn files. --coverage prints the fault-\n"
-      "primitive x protocol matrix of --scenarios (plus the --fuzz batch if\n"
-      "given, without running it); with --check it exits 1 on any missing\n"
-      "model-legal cell.\n",
+      "A sweep is the *.scn files of --scenarios plus the --fuzz batch:\n"
+      "count=N (>= 1) generated cells from seed=K, a fraction overload=RATE\n"
+      "(in [0, 1]) of them deliberate budget violations that must fail.\n"
+      "--protocols/--backends/--check=SEM scope the fuzz batch. Unexpected\n"
+      "failures shrink and, with fixtures=DIR, land there as replayable .scn\n"
+      "files. --check exits by verdict without writing the JSON. --jobs=N\n"
+      "runs N workers (0 = every core). --replay NAME re-runs one cell of\n"
+      "the sweep; with --emit-scenario it writes the cell (shrunk first when\n"
+      "it fails on the DES) as a scenario file. --scenario FILE replays one\n"
+      "file. --coverage prints the fault-primitive x protocol matrix of the\n"
+      "sweep's scenarios without running them; with --check it exits 1 on\n"
+      "any missing model-legal cell.\n",
       protocol_list().c_str());
 }
 
-int replay(const harness::SweepEngine& engine, const std::string& key,
-           const std::string& emit_path) {
-  const auto scenario = engine.materialize_key(key);
-  if (!scenario) {
-    std::fprintf(stderr,
-                 "bad cell key '%s' (want protocol:backend:template:seed, "
-                 "e.g. safe:des:chaos:42, or scn:NAME with --scenarios)\n",
-                 key.c_str());
-    return 2;
-  }
+int replay(const harness::Scenario& scenario, const std::string& emit_path) {
   std::printf("replaying %s: %d writes, %dx%d reads, %d shard%s, "
               "%zu fault event(s)\n",
-              key.c_str(), scenario->writes, scenario->readers,
-              scenario->reads_per_reader, scenario->shards,
-              scenario->shards == 1 ? "" : "s", scenario->events.size());
-  for (const auto& ev : scenario->events) {
-    std::printf("  - %s\n", ev.describe().c_str());
+              scenario.name.c_str(), scenario.writes, scenario.readers,
+              scenario.reads_per_reader, scenario.shards,
+              scenario.shards == 1 ? "" : "s", scenario.events.size());
+  for (const auto& ev : scenario.events) {
+    std::printf("  %s\n", harness::emit_fault(ev).c_str());
   }
-  const auto verdict = harness::SweepEngine::run_cell(*scenario);
+  const auto verdict = harness::SweepEngine::run_cell(scenario);
   std::printf("verdict: %s; %d ops complete, %d stuck, %llu events, "
               "fingerprint %016llx\n",
               verdict.ok ? "OK" : "FAIL", verdict.ops_complete,
@@ -114,26 +112,26 @@ int replay(const harness::SweepEngine& engine, const std::string& key,
                 "online (window=%zu)\n",
                 static_cast<unsigned long long>(verdict.hist_peak_live),
                 static_cast<unsigned long long>(verdict.hist_retired),
-                scenario->checker_window);
+                scenario.checker_window);
   }
-  const bool unexpected = verdict.ok != scenario->expect_ok;
+  const bool unexpected = verdict.ok != scenario.expect_ok;
   if (!verdict.ok) {
     std::printf("failure%s: %s\n", unexpected ? "" : " (expected)",
                 verdict.first_violation.c_str());
   }
 
-  harness::Scenario to_emit = *scenario;
+  harness::Scenario to_emit = scenario;
   // Expected failures (committed fixtures) are already minimal; only an
   // unexpected failure is worth shrinking.
   if (unexpected && !verdict.ok &&
-      scenario->backend == harness::BackendKind::Sim &&
-      !scenario->events.empty()) {
-    const auto shrunk = harness::SweepEngine::shrink(*scenario);
+      scenario.backend == harness::BackendKind::Sim &&
+      !scenario.events.empty()) {
+    const auto shrunk = harness::SweepEngine::shrink(scenario);
     std::printf("minimal failing schedule (%d -> %zu events, %d reruns):\n",
                 shrunk.original_events, shrunk.minimal.events.size(),
                 shrunk.reruns);
     for (const auto& ev : shrunk.minimal.events) {
-      std::printf("  - %s\n", ev.describe().c_str());
+      std::printf("  %s\n", harness::emit_fault(ev).c_str());
     }
     std::printf("  failure: %s\n", shrunk.first_violation.c_str());
     to_emit = shrunk.minimal;
@@ -151,40 +149,73 @@ int replay(const harness::SweepEngine& engine, const std::string& key,
   return unexpected ? 1 : 0;
 }
 
-int replay_file(const std::string& path, const std::string& emit_path) {
-  auto parsed = harness::load_scenario_file(path);
-  if (!parsed.ok) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), parsed.error.c_str());
-    return 2;
+/// Prints verdicts per protocol x backend, every unexpected cell, and each
+/// shrunk schedule as DSL lines that paste into a .scn file.
+void print_report(const harness::SweepReport& report) {
+  harness::Table table({"protocol", "backend", "cells", "pass",
+                        "expected-fail", "unexpected", "stuck-ops",
+                        "avg-events", "read p95 us (max)"});
+  for (const auto& traits : harness::protocol_registry()) {
+    for (const auto& bt : harness::backend_registry()) {
+      int cells = 0, pass = 0, reproduced = 0, unexpected = 0, stuck = 0;
+      std::uint64_t events = 0, p95_max = 0;
+      for (const auto& c : report.cells) {
+        if (c.protocol != traits.id || c.backend != bt.kind) continue;
+        ++cells;
+        if (c.ok != c.expect_ok) {
+          ++unexpected;
+        } else if (c.ok) {
+          ++pass;
+        } else {
+          ++reproduced;
+        }
+        stuck += c.ops_stuck;
+        events += c.events;
+        p95_max = std::max<std::uint64_t>(p95_max, c.read_p95);
+      }
+      if (cells == 0) continue;
+      table.add_row(traits.cli_name, bt.name, cells, pass, reproduced,
+                    unexpected, stuck,
+                    events / static_cast<std::uint64_t>(cells),
+                    static_cast<double>(p95_max) / 1000.0);
+    }
   }
-  harness::SweepPlan plan;
-  plan.protocols.clear();
-  plan.templates.clear();
-  plan.backends.clear();
-  plan.library.push_back(parsed.scenario);
-  const harness::SweepEngine engine(std::move(plan));
-  return replay(engine, parsed.scenario.key(), emit_path);
+  table.print();
+  for (const auto& c : report.cells) {
+    if (c.ok == c.expect_ok) continue;
+    std::printf("  UNEXPECTED %s (expect %s): %s\n", c.name.c_str(),
+                c.expect_ok ? "ok" : "fail",
+                c.ok ? "passed" : c.first_violation.c_str());
+  }
+  for (const auto& shrunk : report.shrinks) {
+    std::printf("\nfailing cell %s: %d fault event(s) shrunk to %zu "
+                "(%d reruns); replay with: --replay %s\n",
+                shrunk.name.c_str(), shrunk.original_events,
+                shrunk.minimal.events.size(), shrunk.reruns,
+                shrunk.name.c_str());
+    for (const auto& ev : shrunk.minimal.events) {
+      std::printf("  %s\n", harness::emit_fault(ev).c_str());
+    }
+    std::printf("  failure: %s\n", shrunk.first_violation.c_str());
+  }
+  std::printf("%d/%zu cells failed in %.1f ms on %d workers\n", report.failed,
+              report.cells.size(), report.wall_ms, report.workers);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::SweepPlan plan;
-  plan.protocols.clear();
-  std::string replay_key;
+  std::vector<harness::Scenario> scenarios;
+  harness::FuzzOptions fuzz;
+  std::string replay_name;
   std::string scenario_file;
   std::vector<std::string> scenario_dirs;
   std::string emit_path;
   std::string json_path = "BENCH_scenario_sweep.json";
-  harness::FuzzOptions fuzz;
   int jobs = 0;
-  bool quick = false;
   bool check_mode = false;
   bool fuzz_mode = false;
   bool coverage_mode = false;
-  bool protocols_given = false, templates_given = false, seeds_given = false;
-  bool writes_given = false, reads_given = false, grid_given = false;
-  bool backends_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -193,13 +224,10 @@ int main(int argc, char** argv) {
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
       return std::nullopt;
     };
-    if (arg == "--quick") {
-      quick = true;
-      grid_given = true;
-    } else if (arg == "--replay" && i + 1 < argc) {
-      replay_key = argv[++i];
+    if (arg == "--replay" && i + 1 < argc) {
+      replay_name = argv[++i];
     } else if (auto v = value("replay")) {
-      replay_key = *v;
+      replay_name = *v;
     } else if (arg == "--scenario" && i + 1 < argc) {
       scenario_file = argv[++i];
     } else if (auto v = value("scenario")) {
@@ -218,12 +246,18 @@ int main(int argc, char** argv) {
       const auto eq = arg.find('=');
       const std::string key = arg.substr(0, eq);
       const std::string val = arg.substr(eq + 1);
+      const char* want = nullptr;
       if (key == "seed") {
-        fuzz.seed = std::strtoull(val.c_str(), nullptr, 10);
+        if (!parse_number(val, &fuzz.seed)) want = "an unsigned integer";
       } else if (key == "count") {
-        fuzz.count = std::atoi(val.c_str());
+        if (!parse_number(val, &fuzz.count) || fuzz.count < 1) {
+          want = "an integer >= 1";
+        }
       } else if (key == "overload") {
-        fuzz.overload_rate = std::atof(val.c_str());
+        if (!parse_number(val, &fuzz.overload_rate) ||
+            !(fuzz.overload_rate >= 0 && fuzz.overload_rate <= 1)) {
+          want = "a rate in [0, 1]";
+        }
       } else if (key == "fixtures") {
         fuzz.fixture_dir = val;
       } else {
@@ -233,6 +267,10 @@ int main(int argc, char** argv) {
                      key.c_str());
         return 2;
       }
+      if (want != nullptr) {
+        std::fprintf(stderr, "bad --fuzz %s: want %s\n", arg.c_str(), want);
+        return 2;
+      }
     } else if (arg == "--emit-scenario" && i + 1 < argc) {
       emit_path = argv[++i];
     } else if (auto v = value("emit-scenario")) {
@@ -240,12 +278,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--check") {
       check_mode = true;
     } else if (auto v = value("protocols")) {
-      grid_given = true;
-      protocols_given = true;
       for (const auto& name : split_commas(*v)) {
         if (name == "all") {
           for (const auto& traits : harness::protocol_registry()) {
-            plan.protocols.push_back(traits.id);
+            fuzz.protocols.push_back(traits.id);
           }
           continue;
         }
@@ -255,78 +291,41 @@ int main(int argc, char** argv) {
                        name.c_str(), protocol_list().c_str());
           return 2;
         }
-        plan.protocols.push_back(*p);
+        fuzz.protocols.push_back(*p);
       }
     } else if (auto v = value("backends")) {
-      grid_given = true;
-      backends_given = true;
-      plan.backends.clear();
       for (const auto& name : split_commas(*v)) {
         if (name == "both") {
           // Historical spelling for the two original substrates; "all"
           // follows the registry (currently adds the net backend).
-          plan.backends.push_back(harness::BackendKind::Sim);
-          plan.backends.push_back(harness::BackendKind::Threads);
+          fuzz.backends.push_back(harness::BackendKind::Sim);
+          fuzz.backends.push_back(harness::BackendKind::Threads);
         } else if (name == "all") {
           for (const auto& t : harness::backend_registry()) {
-            plan.backends.push_back(t.kind);
+            fuzz.backends.push_back(t.kind);
           }
         } else if (const auto kind = harness::backend_from_name(name)) {
-          plan.backends.push_back(*kind);
+          fuzz.backends.push_back(*kind);
         } else {
           std::fprintf(stderr, "unknown backend '%s' (%s|both|all)\n",
                        name.c_str(), harness::backend_names().c_str());
           return 2;
         }
       }
-    } else if (auto v = value("templates")) {
-      templates_given = true;
-      grid_given = true;
-      plan.templates.clear();
-      for (const auto& name : split_commas(*v)) {
-        if (name == "default") {
-          plan.templates = harness::default_fault_templates();
-          continue;
-        }
-        const auto t = harness::fault_template_from_name(name);
-        if (!t) {
-          std::fprintf(stderr,
-                       "unknown template '%s' (none|crash|byz|mixed|chaos|"
-                       "byzchaos|overload)\n",
-                       name.c_str());
-          return 2;
-        }
-        plan.templates.push_back(*t);
-      }
-    } else if (auto v = value("seeds")) {
-      seeds_given = true;
-      grid_given = true;
-      plan.seeds = std::atoi(v->c_str());
-    } else if (auto v = value("base-seed")) {
-      plan.base_seed = std::strtoull(v->c_str(), nullptr, 10);
-    } else if (auto v = value("t")) {
-      plan.t = std::atoi(v->c_str());
-    } else if (auto v = value("b")) {
-      plan.b = std::atoi(v->c_str());
-    } else if (auto v = value("readers")) {
-      plan.readers = std::atoi(v->c_str());
-    } else if (auto v = value("writes")) {
-      writes_given = true;
-      plan.writes = std::atoi(v->c_str());
-    } else if (auto v = value("reads")) {
-      reads_given = true;
-      plan.reads_per_reader = std::atoi(v->c_str());
     } else if (auto v = value("check")) {
-      if (*v == "safe") plan.check_override = harness::Semantics::Safe;
-      else if (*v == "regular") plan.check_override = harness::Semantics::Regular;
-      else if (*v == "atomic") plan.check_override = harness::Semantics::Atomic;
+      if (*v == "safe") fuzz.check_override = harness::Semantics::Safe;
+      else if (*v == "regular") fuzz.check_override = harness::Semantics::Regular;
+      else if (*v == "atomic") fuzz.check_override = harness::Semantics::Atomic;
       else {
         std::fprintf(stderr, "unknown semantics '%s' (safe|regular|atomic)\n",
                      v->c_str());
         return 2;
       }
     } else if (auto v = value("jobs")) {
-      jobs = std::atoi(v->c_str());
+      if (!parse_number(*v, &jobs) || jobs < 0) {
+        std::fprintf(stderr, "bad %s: want an integer >= 0\n", arg.c_str());
+        return 2;
+      }
     } else if (auto v = value("json")) {
       json_path = *v;
     } else if (arg == "--help" || arg == "-h") {
@@ -339,7 +338,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!scenario_file.empty()) return replay_file(scenario_file, emit_path);
+  if (!scenario_file.empty()) {
+    const auto parsed = harness::load_scenario_file(scenario_file);
+    if (!parsed.ok) {
+      std::fprintf(stderr, "%s: %s\n", scenario_file.c_str(),
+                   parsed.error.c_str());
+      return 2;
+    }
+    return replay(parsed.scenario, emit_path);
+  }
 
   for (const auto& dir : scenario_dirs) {
     const auto lib = harness::load_scenario_dir(dir);
@@ -351,155 +358,68 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "no *.scn files in %s\n", dir.c_str());
       return 2;
     }
-    plan.library.insert(plan.library.end(), lib.scenarios.begin(),
-                        lib.scenarios.end());
+    scenarios.insert(scenarios.end(), lib.scenarios.begin(),
+                     lib.scenarios.end());
   }
-
-  // Scope the fuzz pools with the same flags the grid uses.
-  if (fuzz_mode || coverage_mode) {
-    if (protocols_given) fuzz.protocols = plan.protocols;
-    if (backends_given) fuzz.backends = plan.backends;
-    fuzz.check_override = plan.check_override;
+  if (fuzz_mode) {
+    for (auto& s : harness::ScenarioFuzzer(fuzz).batch()) {
+      scenarios.push_back(std::move(s));
+    }
+  } else if (!fuzz.protocols.empty() || !fuzz.backends.empty() ||
+             fuzz.check_override) {
+    std::fprintf(stderr,
+                 "--protocols, --backends and --check=SEM scope a --fuzz "
+                 "batch; give --fuzz\n");
+    return 2;
   }
 
   if (coverage_mode) {
     // Static accounting: which primitive x protocol x budget cells do the
-    // named scenario files (plus the generated fuzz batch, if any) touch?
+    // sweep's scenarios touch?
     harness::CoverageMatrix matrix;
-    matrix.add_all(plan.library);
-    if (fuzz_mode) {
-      matrix.add_all(harness::ScenarioFuzzer(fuzz).batch());
-    }
+    matrix.add_all(scenarios);
     std::printf("%s", matrix.table().c_str());
     return check_mode && !matrix.missing().empty() ? 1 : 0;
   }
-
-  if (fuzz_mode) {
-    std::printf("fuzzing %d scenario(s): seed %llu, overload rate %.2f\n",
-                fuzz.count, static_cast<unsigned long long>(fuzz.seed),
-                fuzz.overload_rate);
-    const auto result = harness::run_fuzz(fuzz, jobs);
-    int pass = 0, reproduced = 0;
-    for (const auto& c : result.report.cells) {
-      if (c.ok == c.expect_ok) {
-        if (c.expect_ok) ++pass; else ++reproduced;
-      }
-    }
-    std::printf("%zu cell(s): %d pass, %d expected-fail reproduced, "
-                "%zu unexpected in %.1f ms on %d workers\n",
-                result.report.cells.size(), pass, reproduced,
-                result.unexpected.size(), result.report.wall_ms,
-                result.report.workers);
-    for (const auto& key : result.unexpected) {
-      for (const auto& c : result.report.cells) {
-        if (c.key != key) continue;
-        std::printf("  UNEXPECTED %s (expect %s): %s\n", key.c_str(),
-                    c.expect_ok ? "ok" : "fail",
-                    c.first_violation.empty() ? "stuck/timeout"
-                                              : c.first_violation.c_str());
-      }
-    }
-    for (const auto& path : result.fixtures) {
-      std::printf("  fixture: %s\n", path.c_str());
-    }
-    if (!check_mode) {
-      harness::SweepPlan fuzz_plan;
-      fuzz_plan.protocols.clear();
-      fuzz_plan.templates.clear();
-      fuzz_plan.library = result.scenarios;
-      if (!harness::SweepEngine::write_json(result.report, fuzz_plan,
-                                            json_path)) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 2;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-    return result.unexpected.empty() ? 0 : 1;
-  }
-
-  // With a scenario library and no grid flags, only the library runs.
-  const bool library_only = !plan.library.empty() && !grid_given;
-  if (library_only) {
-    plan.protocols.clear();
-    plan.templates.clear();
-    plan.backends.clear();
-  } else if (quick) {
-    harness::SweepPlan q = harness::SweepPlan::quick();
-    if (!protocols_given) plan.protocols = q.protocols;
-    if (!templates_given) plan.templates = q.templates;
-    if (!seeds_given) plan.seeds = q.seeds;
-    if (!writes_given) plan.writes = q.writes;
-    if (!reads_given) plan.reads_per_reader = q.reads_per_reader;
-  } else if (plan.protocols.empty() && !protocols_given) {
-    for (const auto& traits : harness::protocol_registry()) {
-      plan.protocols.push_back(traits.id);
-    }
-  }
-  if (!library_only &&
-      (plan.protocols.empty() || plan.templates.empty() || plan.seeds < 1)) {
+  if (scenarios.empty()) {
     usage();
     return 2;
   }
 
-  harness::SweepEngine engine(std::move(plan));
-  if (!replay_key.empty()) return replay(engine, replay_key, emit_path);
+  const harness::SweepEngine engine(std::move(scenarios));
+  if (!replay_name.empty()) {
+    const harness::Scenario* scenario = engine.find(replay_name);
+    if (scenario == nullptr) {
+      std::fprintf(stderr,
+                   "no cell named '%s' in this sweep (give the --scenarios "
+                   "or --fuzz flags that produced it)\n",
+                   replay_name.c_str());
+      return 2;
+    }
+    return replay(*scenario, emit_path);
+  }
 
-  const auto& p = engine.plan();
-  std::printf("sweeping %zu cells: %zu protocol(s) x %zu backend(s) x %zu "
-              "template(s) x %d seed(s) + %zu scenario file(s)\n",
-              p.num_cells(), p.protocols.size(), p.backends.size(),
-              p.templates.size(), p.seeds, p.library.size());
+  std::printf("sweeping %zu cell(s)", engine.scenarios().size());
+  if (fuzz_mode) {
+    std::printf(" (fuzz batch: seed %llu, count %d, overload rate %.2f)",
+                static_cast<unsigned long long>(fuzz.seed), fuzz.count,
+                fuzz.overload_rate);
+  }
+  std::printf("\n");
   const auto report = engine.run(jobs);
+  print_report(report);
 
-  // Aggregate verdicts per protocol x backend for the console summary.
-  harness::Table table({"protocol", "backend", "cells", "pass", "fail",
-                        "stuck-ops", "avg-events", "read p95 us (max)"});
-  for (const auto protocol : p.protocols) {
-    for (const auto backend : p.backends) {
-      int cells = 0, pass = 0, fail = 0, stuck = 0;
-      std::uint64_t events = 0, p95_max = 0;
-      for (const auto& c : report.cells) {
-        if (c.protocol != protocol || c.backend != backend) continue;
-        ++cells;
-        if (c.ok) ++pass; else ++fail;
-        stuck += c.ops_stuck;
-        events += c.events;
-        p95_max = std::max<std::uint64_t>(p95_max, c.read_p95);
-      }
-      table.add_row(harness::protocol_traits(protocol).cli_name,
-                    harness::to_string(backend), cells, pass, fail, stuck,
-                    cells > 0 ? events / static_cast<std::uint64_t>(cells) : 0,
-                    static_cast<double>(p95_max) / 1000.0);
+  if (!fuzz.fixture_dir.empty() && report.failed > 0) {
+    for (const auto& path :
+         harness::write_fixtures(engine.scenarios(), report,
+                                 fuzz.fixture_dir)) {
+      std::printf("  fixture: %s\n", path.c_str());
     }
   }
-  table.print();
-  // Library cells, one line each (their keys don't aggregate into the grid).
-  for (std::size_t i = p.num_grid_cells(); i < report.cells.size(); ++i) {
-    const auto& c = report.cells[i];
-    std::printf("%-40s %s (expect %s)%s%s\n", c.key.c_str(),
-                c.ok ? "OK" : "FAIL", c.expect_ok ? "ok" : "fail",
-                c.ok == c.expect_ok ? "" : "  <-- UNEXPECTED: ",
-                c.ok == c.expect_ok ? "" : c.first_violation.c_str());
-  }
-  std::printf("%d/%zu cells failed in %.1f ms on %d workers\n", report.failed,
-              report.cells.size(), report.wall_ms, report.workers);
-
-  for (const auto& shrunk : report.shrinks) {
-    std::printf("\nfailing cell %s: %d fault event(s) shrunk to %zu "
-                "(%d reruns); replay with: --replay %s\n",
-                shrunk.key.c_str(), shrunk.original_events,
-                shrunk.minimal.events.size(), shrunk.reruns,
-                shrunk.key.c_str());
-    for (const auto& ev : shrunk.minimal.events) {
-      std::printf("  - %s\n", ev.describe().c_str());
-    }
-    std::printf("  failure: %s\n", shrunk.first_violation.c_str());
-  }
-
   // --check: verdicts only (e.g. the CI scenario-library smoke); don't
-  // clobber the grid's BENCH JSON artifact.
+  // clobber the BENCH JSON artifact.
   if (!check_mode) {
-    if (!harness::SweepEngine::write_json(report, p, json_path)) {
+    if (!harness::SweepEngine::write_json(report, json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 2;
     }

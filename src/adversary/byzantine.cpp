@@ -425,16 +425,11 @@ const char* to_string(StrategyKind k) {
   return "?";
 }
 
-StrategyKind strategy_from_name(const std::string& name) {
-  for (const auto k :
-       {StrategyKind::Silent, StrategyKind::Amnesiac, StrategyKind::Forger,
-        StrategyKind::Accuser, StrategyKind::Equivocator,
-        StrategyKind::Stagger, StrategyKind::Collude, StrategyKind::Random,
-        StrategyKind::StaleReplay}) {
+std::optional<StrategyKind> strategy_from_name(std::string_view name) {
+  for (const auto k : kAllStrategies) {
     if (name == to_string(k)) return k;
   }
-  RR_ASSERT_MSG(false, "unknown Byzantine strategy name");
-  return StrategyKind::Silent;
+  return std::nullopt;
 }
 
 std::unique_ptr<net::Process> make_byzantine(StrategyKind kind, Flavor flavor,

@@ -34,7 +34,8 @@
 #pragma once
 
 #include <memory>
-#include <string>
+#include <optional>
+#include <string_view>
 
 #include "adversary/capture.hpp"
 #include "common/types.hpp"
@@ -59,8 +60,19 @@ enum class StrategyKind {
   StaleReplay,
 };
 
+/// Every strategy, in enum order. The scenario fuzzer draws by index into
+/// this list, so its order is part of the fuzz draw stream.
+inline constexpr StrategyKind kAllStrategies[] = {
+    StrategyKind::Silent,      StrategyKind::Amnesiac, StrategyKind::Forger,
+    StrategyKind::Accuser,     StrategyKind::Equivocator,
+    StrategyKind::Stagger,     StrategyKind::Collude,  StrategyKind::Random,
+    StrategyKind::StaleReplay,
+};
+
 [[nodiscard]] const char* to_string(StrategyKind k);
-[[nodiscard]] StrategyKind strategy_from_name(const std::string& name);
+/// The strategy named `name` (its to_string() spelling); nullopt if none.
+[[nodiscard]] std::optional<StrategyKind> strategy_from_name(
+    std::string_view name);
 
 /// Creates a Byzantine object automaton implementing `kind` against the
 /// protocol family `flavor`, posing as object `object_index`.

@@ -79,8 +79,8 @@ struct BackendConfig {
   /// Threads + net: bounded run deadline (milliseconds; 0 = disabled).
   /// With a deadline, a run() that fails to quiesce STOPS the substrate and
   /// reports through Backend::timed_out() instead of aborting the process
-  /// -- so a sweep cell whose fault plan stalls its quorums (e.g. the
-  /// overload template) degrades to a liveness-failure verdict. Without a
+  /// -- so a sweep cell whose fault plan stalls its quorums (e.g. t+1
+  /// crashes) degrades to a liveness-failure verdict. Without a
   /// deadline, non-quiescence stays fatal after run_timeout_ms.
   std::uint64_t max_wall_time_ms{0};
 

@@ -11,14 +11,6 @@
 namespace rr::harness {
 namespace {
 
-constexpr adversary::StrategyKind kStrategies[] = {
-    adversary::StrategyKind::Silent,      adversary::StrategyKind::Amnesiac,
-    adversary::StrategyKind::Forger,      adversary::StrategyKind::Accuser,
-    adversary::StrategyKind::Equivocator, adversary::StrategyKind::Stagger,
-    adversary::StrategyKind::Collude,     adversary::StrategyKind::Random,
-    adversary::StrategyKind::StaleReplay,
-};
-
 /// The (t, b) budget pool a batch samples. (1, 0) exercises the crash-only
 /// corner; (2, 2) pushes fastwrite to S = 2t+2b+1 = 9 objects.
 constexpr std::pair<int, int> kBudgets[] = {{1, 0}, {1, 1}, {2, 1}, {2, 2}};
@@ -65,8 +57,6 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
 
   Scenario s;
   s.name = "fuzz-" + std::to_string(opts_.seed) + "-" + std::to_string(index);
-  s.tmpl = FaultTemplate::None;
-  s.seed = index + 1;
 
   const bool overload = rng.chance(opts_.overload_rate);
 
@@ -104,8 +94,8 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
   s.read_gap = rng.uniform(2'000, 5'000);
   s.check_override = opts_.check_override;
   s.expect_ok = !overload;
-  // Pin the deployment seed so the emitted .scn replays bit-identically
-  // standalone (run_seed = 0 would re-derive from grid coordinates).
+  // The forced low bit is part of the draw stream: clearing it would
+  // change every batch's seeds, and so its fingerprints.
   s.run_seed = rng() | 1;
   // Threads cells carry a generous deadline: a generator or runtime bug
   // then degrades to a liveness verdict instead of hanging the lane.
@@ -162,7 +152,8 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
     FaultEvent ev;
     ev.kind = FaultEvent::Kind::Byzantine;
     ev.object = faulty[static_cast<std::size_t>(i)];
-    ev.strategy = kStrategies[rng.index(std::size(kStrategies))];
+    ev.strategy = adversary::kAllStrategies[rng.index(
+        std::size(adversary::kAllStrategies))];
     s.events.push_back(std::move(ev));
   }
   for (int i = 0; i < crash_n; ++i) {
@@ -291,57 +282,46 @@ std::vector<Scenario> ScenarioFuzzer::batch() const {
   return out;
 }
 
-FuzzResult run_fuzz(const FuzzOptions& opts, int workers) {
-  const ScenarioFuzzer fuzzer(opts);
-  FuzzResult out;
-  out.scenarios = fuzzer.batch();
-
-  // Library-only sweep plan: empty grid axes, the batch as the library.
-  SweepPlan plan;
-  plan.protocols.clear();
-  plan.templates.clear();
-  plan.max_shrinks = opts.max_shrinks;
-  plan.library = out.scenarios;
-  const SweepEngine engine(std::move(plan));
-  out.report = engine.run(workers);
-
-  for (const auto& v : out.report.cells) {
-    if (!v.expect_ok) ++out.overload_cells;
-    if (v.ok != v.expect_ok) out.unexpected.push_back(v.key);
-  }
-
-  if (!opts.fixture_dir.empty() && !out.unexpected.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opts.fixture_dir, ec);
-    std::map<std::string, const ShrinkResult*> shrunk;
-    for (const auto& sh : out.report.shrinks) shrunk[sh.key] = &sh;
-    for (const auto& key : out.unexpected) {
-      const Scenario* src = nullptr;
-      for (const auto& s : out.scenarios) {
-        if (s.key() == key) {
-          src = &s;
-          break;
-        }
-      }
-      // An expected-fail cell that unexpectedly *passed* has no failure to
-      // pin; only genuine new failures become fixtures.
-      if (src == nullptr || !src->expect_ok) continue;
-      Scenario fix = *src;
-      fix.expect_ok = false;
-      const auto dir = std::filesystem::path(opts.fixture_dir);
-      const auto path = (dir / (fix.name + ".scn")).string();
-      if (save_scenario_file(fix, path)) out.fixtures.push_back(path);
-      if (const auto it = shrunk.find(key); it != shrunk.end()) {
-        Scenario min = it->second->minimal;
-        min.name += "-min";
-        min.expect_ok = false;
-        const auto min_path = (dir / (fix.name + ".min.scn")).string();
-        if (save_scenario_file(min, min_path)) {
-          out.fixtures.push_back(min_path);
-        }
-      }
+std::vector<std::string> write_fixtures(
+    const std::vector<Scenario>& scenarios, const SweepReport& report,
+    const std::string& dir) {
+  std::vector<std::string> written;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  const auto save = [&](Scenario s, const std::string& file) {
+    s.expect_ok = false;
+    const auto path = (std::filesystem::path(dir) / file).string();
+    if (save_scenario_file(s, path)) written.push_back(path);
+  };
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    const Scenario& src = scenarios[i];
+    // Only a genuine new failure becomes a fixture: an expected-fail cell
+    // that unexpectedly *passed* has no failure to pin.
+    if (report.cells[i].ok || !src.expect_ok) continue;
+    save(src, src.name + ".scn");
+    for (const auto& sh : report.shrinks) {
+      if (sh.name != src.name) continue;
+      Scenario min = sh.minimal;
+      min.name += "-min";
+      save(std::move(min), src.name + ".min.scn");
     }
   }
+  return written;
+}
+
+FuzzResult run_fuzz(const FuzzOptions& opts, int workers) {
+  FuzzResult out;
+  const SweepEngine engine(ScenarioFuzzer(opts).batch());
+  out.report = engine.run(workers);
+  for (const auto& v : out.report.cells) {
+    if (!v.expect_ok) ++out.overload_cells;
+    if (v.ok != v.expect_ok) out.unexpected.push_back(v.name);
+  }
+  if (!opts.fixture_dir.empty() && !out.unexpected.empty()) {
+    out.fixtures =
+        write_fixtures(engine.scenarios(), out.report, opts.fixture_dir);
+  }
+  out.scenarios = engine.scenarios();
   return out;
 }
 

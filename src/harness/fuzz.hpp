@@ -1,11 +1,10 @@
 // Seeded scenario fuzzer + coverage accountant over the scenario DSL.
 //
-// The sweep grid (harness/sweep.hpp) pins ~1000 cells drawn from six fixed
-// fault templates; the DSL (harness/scenario_dsl.hpp) adds hand-written
-// gray-failure scenarios. Both sample the paper's adversary space --
-// up to t faulty base objects, up to b of them Byzantine, plus
-// scheduler-controlled asynchrony -- at a handful of human-chosen points.
-// ScenarioFuzzer turns that into an open-ended search: it generates
+// The committed .scn library (harness/scenario_dsl.hpp) samples the
+// paper's adversary space -- up to t faulty base objects, up to b of them
+// Byzantine, plus scheduler-controlled asynchrony -- at a handful of
+// human-chosen points. ScenarioFuzzer, the one scenario generator, turns
+// that into an open-ended search: it generates
 // well-formed Scenario structs whose fault schedules are composed from the
 // model-legal primitive set (crash / byz / hold / partition / flap / gray /
 // skew / benign link chaos) and respect the declared (t, b) budget *by
@@ -62,13 +61,9 @@ struct FuzzOptions {
   /// protocol) is the supported way to inject known-bad cells end-to-end;
   /// tests use it to pin the auto-fixture pipeline.
   std::optional<Semantics> check_override{};
-  /// Where failing cells' .scn fixtures go ("" = don't write). Each
-  /// unexpected failure emits "<name>.scn" (the full scenario, expect fail)
-  /// and, when the engine shrank it, "<name>.min.scn" (the 1-minimal
-  /// schedule). Both replay the failure standalone.
+  /// Where failing cells' .scn fixtures go ("" = don't write); see
+  /// write_fixtures().
   std::string fixture_dir;
-  /// Failing DES cells shrunk per batch (SweepPlan::max_shrinks).
-  int max_shrinks{4};
 };
 
 class ScenarioFuzzer {
@@ -100,8 +95,18 @@ struct FuzzResult {
   std::vector<std::string> fixtures;  ///< .scn paths written to fixture_dir
 };
 
-/// Generates the batch, runs it as a library-only sweep (the engine shrinks
-/// failing DES cells), and emits fixtures for unexpected failures.
+/// Writes a fixture into `dir` for each of the sweep's `scenarios` that
+/// failed although expected to pass: "<name>.scn" (the full scenario,
+/// expect fail) and, when the engine shrank it, "<name>.min.scn" (the
+/// 1-minimal schedule). Both replay the failure standalone. Returns the
+/// paths written.
+[[nodiscard]] std::vector<std::string> write_fixtures(
+    const std::vector<Scenario>& scenarios, const SweepReport& report,
+    const std::string& dir);
+
+/// Generates the batch, runs it as a sweep (the engine shrinks failing DES
+/// cells), and writes fixtures for unexpected failures into
+/// opts.fixture_dir.
 [[nodiscard]] FuzzResult run_fuzz(const FuzzOptions& opts, int workers = 0);
 
 /// The canonical primitive label of one fault event. Client-role gray/skew

@@ -13,21 +13,19 @@
 namespace rr::harness {
 namespace {
 
-constexpr adversary::StrategyKind kAllStrategies[] = {
-    adversary::StrategyKind::Silent,      adversary::StrategyKind::Amnesiac,
-    adversary::StrategyKind::Forger,      adversary::StrategyKind::Accuser,
-    adversary::StrategyKind::Equivocator, adversary::StrategyKind::Stagger,
-    adversary::StrategyKind::Collude,     adversary::StrategyKind::Random,
-    adversary::StrategyKind::StaleReplay,
-};
-
 // -------------------------------------------------------------------------
 // Low-level token parsing. Every helper returns false (without touching the
 // output) on malformed input; the caller owns the error message.
 // -------------------------------------------------------------------------
 
+/// Unsigned values start with a digit: strtoull would accept a sign or
+/// leading blanks and wrap "-3" to 2^64 - 3.
+bool starts_with_digit(const std::string& v) {
+  return !v.empty() && std::isdigit(static_cast<unsigned char>(v[0])) != 0;
+}
+
 bool parse_u64(const std::string& v, std::uint64_t* out) {
-  if (v.empty()) return false;
+  if (!starts_with_digit(v)) return false;
   char* end = nullptr;
   const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') return false;
@@ -47,7 +45,7 @@ bool parse_int(const std::string& v, int* out) {
 /// Times: integer with an optional ns/us/ms/s suffix; bare means ns (the
 /// backend clock unit).
 bool parse_time(const std::string& v, Time* out) {
-  if (v.empty()) return false;
+  if (!starts_with_digit(v)) return false;
   char* end = nullptr;
   const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
   if (end == nullptr || end == v.c_str()) return false;
@@ -79,7 +77,7 @@ bool parse_offset(const std::string& v, std::int64_t* out) {
 
 /// Wall-clock deadlines: integer milliseconds, optional ms/s suffix.
 bool parse_wall_ms(const std::string& v, std::uint64_t* out) {
-  if (v.empty()) return false;
+  if (!starts_with_digit(v)) return false;
   char* end = nullptr;
   const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
   if (end == nullptr || end == v.c_str()) return false;
@@ -225,7 +223,8 @@ std::string parse_window(const KvArgs& kv, Time* at, Time* dur) {
 ScenarioParseResult parse_scenario(std::string_view text) {
   ScenarioParseResult result;
   Scenario& s = result.scenario;
-  bool saw_scenario = false;
+  int scenario_line = 0;
+  bool saw_runseed = false;
   // Source line of each fault event, so the deferred semantic validation
   // (deferred because `budget` may legally come after `fault` lines) can
   // still name the offending line instead of the end of the file.
@@ -251,10 +250,9 @@ ScenarioParseResult parse_scenario(std::string_view text) {
     const std::string& directive = tokens[0];
 
     if (directive == "scenario") {
-      if (saw_scenario) return fail(line_no, "duplicate scenario line");
+      if (scenario_line != 0) return fail(line_no, "duplicate scenario line");
       if (tokens.size() < 3) {
-        return fail(line_no, "want: scenario <protocol> <backend> [seed=N] "
-                             "[name=NAME]");
+        return fail(line_no, "want: scenario <protocol> <backend> [name=NAME]");
       }
       const auto protocol = protocol_from_name(tokens[1]);
       if (!protocol) return fail(line_no, "unknown protocol '" + tokens[1] +
@@ -267,11 +265,8 @@ ScenarioParseResult parse_scenario(std::string_view text) {
       const KvArgs kv(tokens, 3);
       if (!kv.bad.empty()) return fail(line_no, "stray token '" + kv.bad +
                                                     "'");
-      if (const auto k = kv.unknown_key({"seed", "name"}); !k.empty()) {
+      if (const auto k = kv.unknown_key({"name"}); !k.empty()) {
         return fail(line_no, "unknown key '" + k + "'");
-      }
-      if (const auto* v = kv.find("seed")) {
-        if (!parse_u64(*v, &s.seed)) return fail(line_no, "bad seed");
       }
       if (const auto* v = kv.find("name")) {
         if (!valid_name(*v)) {
@@ -279,19 +274,14 @@ ScenarioParseResult parse_scenario(std::string_view text) {
         }
         s.name = *v;
       }
-      saw_scenario = true;
+      scenario_line = line_no;
       continue;
     }
-    if (!saw_scenario) {
+    if (scenario_line == 0) {
       return fail(line_no, "the scenario line must come first");
     }
 
-    if (directive == "template") {
-      if (tokens.size() != 2) return fail(line_no, "want: template <name>");
-      const auto t = fault_template_from_name(tokens[1]);
-      if (!t) return fail(line_no, "unknown template '" + tokens[1] + "'");
-      s.tmpl = *t;
-    } else if (directive == "budget") {
+    if (directive == "budget") {
       const KvArgs kv(tokens, 1);
       if (const auto k = kv.unknown_key({"t", "b", "readers"}); !k.empty()) {
         return fail(line_no, "unknown key '" + k + "'");
@@ -409,6 +399,7 @@ ScenarioParseResult parse_scenario(std::string_view text) {
       if (tokens.size() != 2 || !parse_u64(tokens[1], &s.run_seed)) {
         return fail(line_no, "want: runseed <u64>");
       }
+      saw_runseed = true;
     } else if (directive == "history") {
       const KvArgs kv(tokens, 1);
       if (!kv.bad.empty()) return fail(line_no, "stray token '" + kv.bad +
@@ -502,16 +493,11 @@ ScenarioParseResult parse_scenario(std::string_view text) {
         ev.kind = FaultEvent::Kind::Byzantine;
         if (err = need_obj(); !err.empty()) return fail(line_no, err);
         if (const auto* v = kv.find("strategy")) {
-          bool found = false;
-          for (const auto st : kAllStrategies) {
-            if (*v == adversary::to_string(st)) {
-              ev.strategy = st;
-              found = true;
-            }
-          }
-          if (!found) {
+          const auto strategy = adversary::strategy_from_name(*v);
+          if (!strategy) {
             return fail(line_no, "unknown strategy '" + *v + "'");
           }
+          ev.strategy = *strategy;
         }
       } else if (kind == "hold" || kind == "partition") {
         if (const auto k = kv.unknown_key(
@@ -629,7 +615,10 @@ ScenarioParseResult parse_scenario(std::string_view text) {
     }
   }
 
-  if (!saw_scenario) return fail(line_no, "missing scenario line");
+  if (scenario_line == 0) return fail(line_no, "missing scenario line");
+  if (!saw_runseed) {
+    return fail(scenario_line, "missing runseed line (want: runseed <u64>)");
+  }
 
   // Semantic validation against the effective resilience recipe, so a bad
   // file is a parse error that names the offending `fault` line instead of
@@ -708,6 +697,20 @@ ScenarioParseResult parse_scenario(std::string_view text) {
 
 namespace {
 
+std::string emit_time(Time x) {
+  return std::to_string(static_cast<unsigned long long>(x));
+}
+
+std::string emit_objs(const std::vector<int>& v) {
+  if (v.empty()) return "all";
+  std::string o;
+  for (const int x : v) {
+    if (!o.empty()) o += ",";
+    o += std::to_string(x);
+  }
+  return o;
+}
+
 /// Gray/Skew target as it appears in the DSL: `obj=N` for base objects,
 /// `role=writer` / `role=reader idx=J` for client processes.
 std::string emit_target(const FaultEvent& ev) {
@@ -724,31 +727,69 @@ std::string emit_target(const FaultEvent& ev) {
 
 }  // namespace
 
+std::string emit_fault(const FaultEvent& ev) {
+  const auto t = emit_time;
+  const auto objs = emit_objs;
+  switch (ev.kind) {
+    case FaultEvent::Kind::Crash:
+      return "fault crash obj=" + std::to_string(ev.object) + " at=" + t(ev.at);
+    case FaultEvent::Kind::Byzantine:
+      return "fault byz obj=" + std::to_string(ev.object) +
+             " strategy=" + adversary::to_string(ev.strategy);
+    case FaultEvent::Kind::Hold:
+      return "fault hold objs=" + objs(ev.held) + " at=" + t(ev.at) +
+             " dur=" + t(ev.duration);
+    case FaultEvent::Kind::PartitionIn:
+    case FaultEvent::Kind::PartitionOut:
+      return "fault partition objs=" + objs(ev.held) + " dir=" +
+             (ev.kind == FaultEvent::Kind::PartitionIn ? "in" : "out") +
+             " at=" + t(ev.at) + " dur=" + t(ev.duration);
+    case FaultEvent::Kind::Flap:
+      return "fault flap objs=" + objs(ev.held) + " at=" + t(ev.at) +
+             " dur=" + t(ev.duration) + " period=" + t(ev.period) +
+             " duty=" + fmt_double(ev.rate) + " jitter=" + t(ev.jitter);
+    case FaultEvent::Kind::Gray: {
+      std::string l = "fault gray " + emit_target(ev) +
+                      " slow=" + fmt_double(ev.rate) + " at=" + t(ev.at);
+      if (ev.duration != 0) l += " dur=" + t(ev.duration);
+      return l;
+    }
+    case FaultEvent::Kind::Skew:
+      return "fault skew " + emit_target(ev) +
+             " offset=" + std::to_string(static_cast<long long>(ev.skew));
+    case FaultEvent::Kind::Loss:
+    case FaultEvent::Kind::Duplicate:
+    case FaultEvent::Kind::Reorder: {
+      std::string l = "fault ";
+      l += ev.kind == FaultEvent::Kind::Loss        ? "loss"
+           : ev.kind == FaultEvent::Kind::Duplicate ? "dup"
+                                                    : "reorder";
+      l += " p=" + fmt_double(ev.rate);
+      if (ev.kind == FaultEvent::Kind::Reorder) {
+        l += " delay=" + t(ev.period);
+      }
+      if (!ev.held.empty()) l += " objs=" + objs(ev.held);
+      if (ev.at != 0) l += " at=" + t(ev.at);
+      if (ev.duration != 0) l += " dur=" + t(ev.duration);
+      return l;
+    }
+  }
+  return "fault ?";
+}
+
 std::string emit_scenario(const Scenario& s) {
   std::string out;
   const auto line = [&out](const std::string& l) {
     out += l;
     out += '\n';
   };
-  const auto t = [](Time x) {
-    return std::to_string(static_cast<unsigned long long>(x));
-  };
-  const auto objs = [](const std::vector<int>& v) {
-    if (v.empty()) return std::string("all");
-    std::string o;
-    for (const int x : v) {
-      if (!o.empty()) o += ",";
-      o += std::to_string(x);
-    }
-    return o;
-  };
+  const auto t = emit_time;
 
   std::string head = std::string("scenario ") +
                      protocol_traits(s.protocol).cli_name + " " +
-                     to_string(s.backend) + " seed=" + std::to_string(s.seed);
+                     to_string(s.backend);
   if (!s.name.empty()) head += " name=" + s.name;
   line(head);
-  line(std::string("template ") + to_string(s.tmpl));
   line("budget t=" + std::to_string(s.t) + " b=" + std::to_string(s.b) +
        " readers=" + std::to_string(s.readers));
   line("workload writes=" + std::to_string(s.writes) +
@@ -756,7 +797,7 @@ std::string emit_scenario(const Scenario& s) {
        " write_gap=" + t(s.write_gap) + " read_gap=" + t(s.read_gap) +
        " shards=" + std::to_string(s.shards));
   // Open-loop / windowed-checker keys: emitted only when off-default, so
-  // pre-existing scenario files stay byte-identical.
+  // closed-loop files stay short.
   if (s.arrival != ArrivalKind::Closed || s.checker_window != 0) {
     std::string l = "workload";
     if (s.arrival != ArrivalKind::Closed) {
@@ -776,71 +817,15 @@ std::string emit_scenario(const Scenario& s) {
   }
   if (!s.expect_ok) line("expect fail");
   if (s.max_wall_ms != 0) line("deadline " + std::to_string(s.max_wall_ms));
-  if (s.run_seed != 0) line("runseed " + std::to_string(s.run_seed));
-  // Emitted only when off-default, so pre-existing scenario files (and
-  // their emitted forms) stay byte-identical.
+  line("runseed " + std::to_string(s.run_seed));
+  // Emitted only when off-default, like the open-loop keys.
   if (s.history_limit != 0 || !s.history_gc) {
     std::string l = "history";
     if (s.history_limit != 0) l += " limit=" + std::to_string(s.history_limit);
     if (!s.history_gc) l += " gc=off";
     line(l);
   }
-
-  for (const auto& ev : s.events) {
-    switch (ev.kind) {
-      case FaultEvent::Kind::Crash:
-        line("fault crash obj=" + std::to_string(ev.object) +
-             " at=" + t(ev.at));
-        break;
-      case FaultEvent::Kind::Byzantine:
-        line("fault byz obj=" + std::to_string(ev.object) +
-             " strategy=" + adversary::to_string(ev.strategy));
-        break;
-      case FaultEvent::Kind::Hold:
-        line("fault hold objs=" + objs(ev.held) + " at=" + t(ev.at) +
-             " dur=" + t(ev.duration));
-        break;
-      case FaultEvent::Kind::PartitionIn:
-      case FaultEvent::Kind::PartitionOut:
-        line("fault partition objs=" + objs(ev.held) + " dir=" +
-             (ev.kind == FaultEvent::Kind::PartitionIn ? "in" : "out") +
-             " at=" + t(ev.at) + " dur=" + t(ev.duration));
-        break;
-      case FaultEvent::Kind::Flap:
-        line("fault flap objs=" + objs(ev.held) + " at=" + t(ev.at) +
-             " dur=" + t(ev.duration) + " period=" + t(ev.period) +
-             " duty=" + fmt_double(ev.rate) + " jitter=" + t(ev.jitter));
-        break;
-      case FaultEvent::Kind::Gray: {
-        std::string l = "fault gray " + emit_target(ev) +
-                        " slow=" + fmt_double(ev.rate) + " at=" + t(ev.at);
-        if (ev.duration != 0) l += " dur=" + t(ev.duration);
-        line(l);
-        break;
-      }
-      case FaultEvent::Kind::Skew:
-        line("fault skew " + emit_target(ev) +
-             " offset=" + std::to_string(static_cast<long long>(ev.skew)));
-        break;
-      case FaultEvent::Kind::Loss:
-      case FaultEvent::Kind::Duplicate:
-      case FaultEvent::Kind::Reorder: {
-        std::string l = "fault ";
-        l += ev.kind == FaultEvent::Kind::Loss        ? "loss"
-             : ev.kind == FaultEvent::Kind::Duplicate ? "dup"
-                                                      : "reorder";
-        l += " p=" + fmt_double(ev.rate);
-        if (ev.kind == FaultEvent::Kind::Reorder) {
-          l += " delay=" + t(ev.period);
-        }
-        if (!ev.held.empty()) l += " objs=" + objs(ev.held);
-        if (ev.at != 0) l += " at=" + t(ev.at);
-        if (ev.duration != 0) l += " dur=" + t(ev.duration);
-        line(l);
-        break;
-      }
-    }
-  }
+  for (const auto& ev : s.events) line(emit_fault(ev));
   return out;
 }
 

@@ -5,11 +5,11 @@
 // fault schedule, one fault per line:
 //
 //   # lost quorum: three crashes exceed t = 2
-//   scenario safe des seed=7 name=lost-quorum
-//   template overload
+//   scenario safe des name=lost-quorum
 //   budget t=2 b=1 readers=2
 //   workload writes=5 reads=3 write_gap=4000 read_gap=2500 shards=1
 //   expect fail
+//   runseed 7
 //   fault crash obj=0 at=5000
 //   fault crash obj=2 at=11000
 //   fault crash obj=4 at=8000
@@ -20,12 +20,13 @@
 // Scenario struct -- and therefore on the DES fingerprint
 // (tests/test_scenario_dsl.cpp pins the round-trip property).
 //
-// The full grammar, the fault-primitive reference, and which primitives
-// step outside the paper's reliable-channel model live in
-// docs/SCENARIO_DSL.md. Scenario files enter a sweep through
-// SweepPlan::library (sweep_cli --scenarios DIR); the shrinker emits its
-// minimal failing schedules in this format (sweep_cli --emit-scenario) so
-// they can be committed as regression fixtures.
+// `runseed` is required: it is the scenario's one seed, so a file replays
+// on its own. The full grammar, the fault-primitive reference, and which
+// primitives step outside the paper's reliable-channel model live in
+// docs/SCENARIO_DSL.md. Scenario files enter a sweep as SweepEngine cells
+// (sweep_cli --scenarios DIR); the shrinker emits its minimal failing
+// schedules in this format (sweep_cli --emit-scenario) so they can be
+// committed as regression fixtures.
 #pragma once
 
 #include <string>
@@ -54,6 +55,11 @@ struct ScenarioParseResult {
 /// explicit, times in integer nanoseconds, doubles in shortest-round-trip
 /// form. parse_scenario(emit_scenario(s)) == s for any parse result s.
 [[nodiscard]] std::string emit_scenario(const Scenario& s);
+
+/// One fault event as its canonical `fault ...` line (no newline), the
+/// line emit_scenario() writes for it: a printed schedule pastes straight
+/// into a .scn file.
+[[nodiscard]] std::string emit_fault(const FaultEvent& ev);
 
 /// File convenience wrappers. load reports I/O failures through `error`;
 /// save returns false on I/O failure.

@@ -13,102 +13,19 @@
 #include "common/rng.hpp"
 #include "harness/chaos.hpp"
 #include "harness/deployment.hpp"
+#include "harness/scenario_dsl.hpp"
 #include "harness/workload.hpp"
 #include "sim/world.hpp"
 
 namespace rr::harness {
 namespace {
 
-constexpr FaultTemplate kDefaultTemplates[] = {
-    FaultTemplate::None, FaultTemplate::Crash,  FaultTemplate::Byz,
-    FaultTemplate::Mixed, FaultTemplate::Chaos, FaultTemplate::ByzChaos,
-};
-
-constexpr adversary::StrategyKind kStrategies[] = {
-    adversary::StrategyKind::Silent,      adversary::StrategyKind::Amnesiac,
-    adversary::StrategyKind::Forger,      adversary::StrategyKind::Accuser,
-    adversary::StrategyKind::Equivocator, adversary::StrategyKind::Stagger,
-    adversary::StrategyKind::Collude,     adversary::StrategyKind::Random,
-};
+/// Unexpected DES failures shrunk per run: shrinking re-runs a cell many
+/// times, and one minimal schedule usually explains its neighbours.
+constexpr int kMaxShrinks = 4;
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ v);
-}
-
-/// The cell's master seed: a pure function of the cell key coordinates, so
-/// replay-by-key reproduces the exact schedule regardless of plan grid
-/// enumeration or worker count.
-std::uint64_t cell_seed(Protocol p, BackendKind bk, FaultTemplate tm,
-                        std::uint64_t seed) {
-  return mix64(seed ^ (static_cast<std::uint64_t>(p) << 48) ^
-               (static_cast<std::uint64_t>(bk) << 40) ^
-               (static_cast<std::uint64_t>(tm) << 32));
-}
-
-/// Draws a workload size in [ceil(x/2), x].
-int half_to_full(Rng& rng, int x) {
-  if (x <= 1) return x;
-  const int lo = (x + 1) / 2;
-  return lo + static_cast<int>(rng.index(static_cast<std::size_t>(x - lo + 1)));
-}
-
-/// Picks a fresh object index not yet in `used` (S is small; rejection
-/// sampling terminates fast and stays deterministic).
-int pick_object(Rng& rng, std::vector<int>& used, int S) {
-  RR_ASSERT(static_cast<int>(used.size()) < S);
-  for (;;) {
-    const int candidate = static_cast<int>(rng.index(
-        static_cast<std::size_t>(S)));
-    bool taken = false;
-    for (const int u : used) taken = taken || (u == candidate);
-    if (!taken) {
-      used.push_back(candidate);
-      return candidate;
-    }
-  }
-}
-
-void add_byzantine(Scenario& s, Rng& rng, std::vector<int>& used, int count,
-                   int S) {
-  for (int i = 0; i < count; ++i) {
-    FaultEvent ev;
-    ev.kind = FaultEvent::Kind::Byzantine;
-    ev.object = pick_object(rng, used, S);
-    ev.strategy = kStrategies[rng.index(std::size(kStrategies))];
-    s.events.push_back(std::move(ev));
-  }
-}
-
-void add_crashes(Scenario& s, Rng& rng, std::vector<int>& used, int count,
-                 int S) {
-  for (int i = 0; i < count; ++i) {
-    FaultEvent ev;
-    ev.kind = FaultEvent::Kind::Crash;
-    ev.object = pick_object(rng, used, S);
-    ev.at = 20'000 + rng.uniform(0, 280'000);
-    s.events.push_back(std::move(ev));
-  }
-}
-
-/// Sequential (non-overlapping) hold/release waves, each isolating a fresh
-/// random subset of at most `max_held` objects -- the proofs' "messages
-/// remain in transit" tactic. Every wave releases, so runs stay legal.
-void add_hold_waves(Scenario& s, Rng& rng, int waves, int max_held, int S) {
-  Time cursor = 10'000 + rng.uniform(0, 20'000);
-  for (int w = 0; w < waves; ++w) {
-    FaultEvent ev;
-    ev.kind = FaultEvent::Kind::Hold;
-    ev.at = cursor;
-    ev.duration = 15'000 + rng.uniform(0, 45'000);
-    const int count =
-        1 + static_cast<int>(rng.index(static_cast<std::size_t>(max_held)));
-    std::vector<int> wave_used;
-    for (int i = 0; i < count; ++i) {
-      ev.held.push_back(pick_object(rng, wave_used, S));
-    }
-    cursor = ev.at + ev.duration + 10'000 + rng.uniform(0, 30'000);
-    s.events.push_back(std::move(ev));
-  }
 }
 
 std::string json_escape(const std::string& in) {
@@ -135,285 +52,14 @@ std::string json_escape(const std::string& in) {
 
 }  // namespace
 
-const char* to_string(FaultTemplate t) {
-  switch (t) {
-    case FaultTemplate::None: return "none";
-    case FaultTemplate::Crash: return "crash";
-    case FaultTemplate::Byz: return "byz";
-    case FaultTemplate::Mixed: return "mixed";
-    case FaultTemplate::Chaos: return "chaos";
-    case FaultTemplate::ByzChaos: return "byzchaos";
-    case FaultTemplate::Overload: return "overload";
+SweepEngine::SweepEngine(std::vector<Scenario> scenarios)
+    : scenarios_(std::move(scenarios)) {}
+
+const Scenario* SweepEngine::find(std::string_view name) const {
+  for (const auto& s : scenarios_) {
+    if (s.name == name) return &s;
   }
-  return "?";
-}
-
-std::optional<FaultTemplate> fault_template_from_name(std::string_view name) {
-  for (const auto t :
-       {FaultTemplate::None, FaultTemplate::Crash, FaultTemplate::Byz,
-        FaultTemplate::Mixed, FaultTemplate::Chaos, FaultTemplate::ByzChaos,
-        FaultTemplate::Overload}) {
-    if (name == to_string(t)) return t;
-  }
-  return std::nullopt;
-}
-
-const std::vector<FaultTemplate>& default_fault_templates() {
-  static const std::vector<FaultTemplate> templates(
-      std::begin(kDefaultTemplates), std::end(kDefaultTemplates));
-  return templates;
-}
-
-std::string FaultEvent::describe() const {
-  char buf[160];
-  const auto ull = [](Time t) { return static_cast<unsigned long long>(t); };
-  std::string objs;
-  for (const int o : held) {
-    if (!objs.empty()) objs += ",";
-    objs += std::to_string(o);
-  }
-  // Role-addressed gray/skew name the client, not an object index.
-  std::string target = "object " + std::to_string(object);
-  if (role == Role::Writer) target = "writer";
-  if (role == Role::Reader) target = "reader " + std::to_string(object);
-  switch (kind) {
-    case Kind::Byzantine:
-      std::snprintf(buf, sizeof(buf), "byzantine object %d (%s)", object,
-                    adversary::to_string(strategy));
-      return buf;
-    case Kind::Crash:
-      std::snprintf(buf, sizeof(buf), "crash object %d at t=%llu", object,
-                    ull(at));
-      return buf;
-    case Kind::Hold:
-      std::snprintf(buf, sizeof(buf), "hold objects {%s} during [%llu, %llu)",
-                    objs.c_str(), ull(at), ull(at + duration));
-      return buf;
-    case Kind::PartitionIn:
-      std::snprintf(buf, sizeof(buf),
-                    "partition inbound channels of {%s} during [%llu, %llu)",
-                    objs.c_str(), ull(at), ull(at + duration));
-      return buf;
-    case Kind::PartitionOut:
-      std::snprintf(buf, sizeof(buf),
-                    "partition outbound channels of {%s} during [%llu, %llu)",
-                    objs.c_str(), ull(at), ull(at + duration));
-      return buf;
-    case Kind::Flap:
-      std::snprintf(buf, sizeof(buf),
-                    "flap objects {%s} period=%llu duty=%.2f jitter=%llu "
-                    "during [%llu, %llu)",
-                    objs.c_str(), ull(period), rate, ull(jitter), ull(at),
-                    ull(at + duration));
-      return buf;
-    case Kind::Gray:
-      std::snprintf(buf, sizeof(buf),
-                    "gray %s (%.2fx slower) during [%llu, %llu)",
-                    target.c_str(), rate, ull(at), ull(at + duration));
-      return buf;
-    case Kind::Skew:
-      std::snprintf(buf, sizeof(buf), "clock skew %s offset=%lld",
-                    target.c_str(), static_cast<long long>(skew));
-      return buf;
-    case Kind::Loss:
-      std::snprintf(buf, sizeof(buf),
-                    "lose messages p=%.3f scope={%s} from t=%llu", rate,
-                    objs.empty() ? "all" : objs.c_str(), ull(at));
-      return buf;
-    case Kind::Duplicate:
-      std::snprintf(buf, sizeof(buf),
-                    "duplicate messages p=%.3f scope={%s} from t=%llu", rate,
-                    objs.empty() ? "all" : objs.c_str(), ull(at));
-      return buf;
-    case Kind::Reorder:
-      std::snprintf(buf, sizeof(buf),
-                    "reorder messages p=%.3f (+%llu) scope={%s} from t=%llu",
-                    rate, ull(period), objs.empty() ? "all" : objs.c_str(),
-                    ull(at));
-      return buf;
-  }
-  return "?";
-}
-
-std::string Scenario::key() const {
-  if (!name.empty()) return "scn:" + name;
-  return std::string(protocol_traits(protocol).cli_name) + ":" +
-         harness::to_string(backend) + ":" + harness::to_string(tmpl) + ":" +
-         std::to_string(seed);
-}
-
-SweepPlan SweepPlan::quick() {
-  SweepPlan plan;
-  plan.protocols = {Protocol::Safe, Protocol::Regular, Protocol::Abd};
-  plan.backends = {BackendKind::Sim, BackendKind::Threads};
-  plan.templates = default_fault_templates();
-  plan.seeds = 28;  // 3 x 2 x 6 x 28 = 1008 cells
-  plan.writes = 5;
-  plan.reads_per_reader = 3;
-  return plan;
-}
-
-SweepEngine::SweepEngine(SweepPlan plan) : plan_(std::move(plan)) {
-  // A plan may be library-only (no grid axes at all), but never empty.
-  if (plan_.num_grid_cells() > 0 || plan_.library.empty()) {
-    RR_ASSERT(!plan_.protocols.empty());
-    RR_ASSERT(!plan_.backends.empty());
-    RR_ASSERT(!plan_.templates.empty());
-    RR_ASSERT(plan_.seeds >= 1);
-  }
-}
-
-Scenario SweepEngine::materialize(std::size_t index) const {
-  RR_ASSERT(index < plan_.num_cells());
-  const std::size_t grid = plan_.num_grid_cells();
-  if (index >= grid) return plan_.library[index - grid];
-  const std::size_t seeds = static_cast<std::size_t>(plan_.seeds);
-  const std::size_t si = index % seeds;
-  const std::size_t ti = (index / seeds) % plan_.templates.size();
-  const std::size_t bi =
-      (index / (seeds * plan_.templates.size())) % plan_.backends.size();
-  const std::size_t pi =
-      index / (seeds * plan_.templates.size() * plan_.backends.size());
-  return materialize(plan_.protocols[pi], plan_.backends[bi],
-                     plan_.templates[ti], plan_.base_seed + si);
-}
-
-Scenario SweepEngine::materialize(Protocol p, BackendKind backend,
-                                  FaultTemplate tmpl,
-                                  std::uint64_t seed) const {
-  Scenario s;
-  s.protocol = p;
-  s.backend = backend;
-  s.tmpl = tmpl;
-  s.seed = seed;
-  s.t = plan_.t;
-  s.b = plan_.b;
-  s.readers = plan_.readers;
-  s.check_override = plan_.check_override;
-  // Pin the deployment seed the legacy rule derives from the coordinates,
-  // so an emitted scenario file replays bit-identically to its grid twin.
-  s.run_seed = fold(cell_seed(p, backend, tmpl, seed), 0x5eedull);
-  // Overload stalls quorums forever; on every real-time substrate (threads,
-  // sockets) a bounded deadline turns that into a liveness verdict instead
-  // of a process abort.
-  if (tmpl == FaultTemplate::Overload && backend != BackendKind::Sim) {
-    s.max_wall_ms = 10'000;
-  }
-
-  Rng rng(cell_seed(p, backend, tmpl, seed));
-  const auto& traits = protocol_traits(p);
-  // The protocol's own resilience recipe decides the effective budget: ABD
-  // forces b = 0, fastwrite buys extra objects. Fault generation must stay
-  // within what the deployment will actually tolerate.
-  const Resilience res = traits.resilience_for(s.t, s.b, s.readers);
-  const int S = res.num_objects;
-  const int t = res.t;
-  const int b = res.b;
-
-  s.writes = half_to_full(rng, plan_.writes);
-  s.reads_per_reader = half_to_full(rng, plan_.reads_per_reader);
-  s.write_gap = 2'000 + rng.uniform(0, 8'000);
-  s.read_gap = 1'500 + rng.uniform(0, 6'000);
-  s.shards = rng.chance(0.25) ? 2 : 1;
-
-  std::vector<int> used;  // objects already faulty (distinct across kinds)
-  switch (tmpl) {
-    case FaultTemplate::None:
-      break;
-    case FaultTemplate::Crash:
-      add_crashes(s, rng, used, 1 + static_cast<int>(rng.index(
-                                      static_cast<std::size_t>(t))),
-                  S);
-      break;
-    case FaultTemplate::Byz:
-      // Crash-only protocols (b = 0) degrade to the crash template so the
-      // grid stays total.
-      if (b > 0) {
-        add_byzantine(s, rng, used,
-                      1 + static_cast<int>(rng.index(
-                              static_cast<std::size_t>(b))),
-                      S);
-      } else {
-        add_crashes(s, rng, used, 1 + static_cast<int>(rng.index(
-                                        static_cast<std::size_t>(t))),
-                    S);
-      }
-      break;
-    case FaultTemplate::Mixed: {
-      const int byz = b > 0 ? 1 + static_cast<int>(rng.index(
-                                      static_cast<std::size_t>(b)))
-                            : 0;
-      add_byzantine(s, rng, used, byz, S);
-      if (t - byz > 0) {
-        add_crashes(s, rng, used,
-                    static_cast<int>(rng.index(
-                        static_cast<std::size_t>(t - byz + 1))),
-                    S);
-      }
-      break;
-    }
-    case FaultTemplate::Chaos:
-      add_hold_waves(s, rng,
-                     2 + static_cast<int>(rng.index(std::size_t{3})), t, S);
-      break;
-    case FaultTemplate::ByzChaos: {
-      // Leave at least one unit of the crash budget t for held objects so
-      // quorums stay reachable between waves.
-      const int byz_cap = b < t ? b : t - 1;
-      const int byz = byz_cap > 0 ? 1 + static_cast<int>(rng.index(
-                                            static_cast<std::size_t>(byz_cap)))
-                                  : 0;
-      add_byzantine(s, rng, used, byz, S);
-      add_hold_waves(s, rng,
-                     2 + static_cast<int>(rng.index(std::size_t{3})),
-                     t - byz > 0 ? t - byz : 1, S);
-      break;
-    }
-    case FaultTemplate::Overload:
-      // t+1 crashes exceed the budget: quorums of S-t become permanently
-      // unreachable and operations stall -- the engine's deliberate
-      // liveness violation. The hold waves are pure noise the shrinker
-      // must strip away. All t+1 crashes land within the first few
-      // operations' lifetime (long before the workload can drain), so the
-      // stall is guaranteed, not schedule-dependent.
-      add_crashes(s, rng, used, t + 1, S);
-      for (auto& ev : s.events) {
-        if (ev.kind == FaultEvent::Kind::Crash) {
-          ev.at = 5'000 + ev.at % 25'000;
-        }
-      }
-      add_hold_waves(s, rng, 2, 1, S);
-      break;
-  }
-  return s;
-}
-
-std::optional<Scenario> SweepEngine::materialize_key(
-    std::string_view key) const {
-  if (key.rfind("scn:", 0) == 0) {
-    const auto name = key.substr(4);
-    for (const auto& sc : plan_.library) {
-      if (sc.name == name) return sc;
-    }
-    return std::nullopt;
-  }
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const auto colon = key.find(':', start);
-    parts.emplace_back(key.substr(start, colon - start));
-    if (colon == std::string_view::npos) break;
-    start = colon + 1;
-  }
-  if (parts.size() != 4) return std::nullopt;
-  const auto protocol = protocol_from_name(parts[0]);
-  const auto backend = backend_from_name(parts[1]);
-  const auto tmpl = fault_template_from_name(parts[2]);
-  if (!protocol || !backend || !tmpl || parts[3].empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::uint64_t seed = std::strtoull(parts[3].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return materialize(*protocol, *backend, *tmpl, seed);
+  return nullptr;
 }
 
 CellVerdict SweepEngine::run_cell(const Scenario& s) {
@@ -423,13 +69,7 @@ CellVerdict SweepEngine::run_cell(const Scenario& s) {
   opts.backend = s.backend;
   opts.res = traits.resilience_for(s.t, s.b, s.readers);
   opts.shards = s.shards;
-  // run_seed == 0 falls back to the legacy coordinate-derived rule, which
-  // materialize() also pins explicitly -- either path yields the same seed
-  // for a grid cell, so fingerprints are stable across both spellings.
-  opts.seed = s.run_seed != 0
-                  ? s.run_seed
-                  : fold(cell_seed(s.protocol, s.backend, s.tmpl, s.seed),
-                         0x5eedull);
+  opts.seed = s.run_seed;
   opts.trace_fingerprint = s.backend == BackendKind::Sim;
   opts.thread_max_wall_ms = s.max_wall_ms;
   opts.history_limit = s.history_limit;
@@ -644,11 +284,9 @@ CellVerdict SweepEngine::run_cell(const Scenario& s) {
   const auto t1 = std::chrono::steady_clock::now();
 
   CellVerdict v;
-  v.key = s.key();
+  v.name = s.name;
   v.protocol = s.protocol;
   v.backend = s.backend;
-  v.tmpl = s.tmpl;
-  v.seed = s.seed;
   v.expect_ok = s.expect_ok;
   v.events = events;
   v.net = d.stats();
@@ -721,8 +359,7 @@ CellVerdict SweepEngine::run_cell(const Scenario& s) {
 
 ShrinkResult SweepEngine::shrink(const Scenario& s) {
   ShrinkResult result;
-  result.key = s.key();
-  result.seed = s.seed;
+  result.name = s.name;
   result.original_events = static_cast<int>(s.events.size());
 
   auto rerun_fails = [&result](const Scenario& sc, std::string* violation) {
@@ -817,29 +454,29 @@ ShrinkResult SweepEngine::shrink(const Scenario& s) {
 }
 
 SweepReport SweepEngine::run(int workers) const {
-  const std::size_t n = plan_.num_cells();
+  const std::size_t n = scenarios_.size();
   SweepReport report;
   report.cells.resize(n);
 
   int w = workers > 0
               ? workers
               : static_cast<int>(std::thread::hardware_concurrency());
-  if (w < 1) w = 1;
   if (static_cast<std::size_t>(w) > n) w = static_cast<int>(n);
+  if (w < 1) w = 1;
   report.workers = w;
 
   const auto t0 = std::chrono::steady_clock::now();
   std::atomic<std::size_t> next{0};
   // Cells are claimed by atomic index and written back by index, sharing no
-  // mutable state: a DES cell's verdict is a pure function of its key, so
-  // those rows are bit-identical for every worker count (pinned by
+  // mutable state: a DES cell's verdict is a pure function of its scenario,
+  // so those rows are bit-identical for every worker count (pinned by
   // tests/test_sweep.cpp). Threads cells are wall-clock runs and vary
   // between executions regardless of worker count.
   auto drain = [this, n, &next, &report] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      report.cells[i] = run_cell(materialize(i));
+      report.cells[i] = run_cell(scenarios_[i]);
     }
   };
   std::vector<std::thread> pool;
@@ -853,15 +490,15 @@ SweepReport SweepEngine::run(int workers) const {
   }
   // Shrink the first few unexpectedly-failing DES cells (serially:
   // shrinking re-runs the cell many times, and failures should be rare).
-  // Expected failures (library fixtures) are regression anchors, already
-  // minimal; shrinking them again would be wasted work.
+  // Expected failures (committed fixtures, overload cells) are regression
+  // anchors, already minimal; shrinking them again would be wasted work.
   int shrunk = 0;
-  for (std::size_t i = 0; i < n && shrunk < plan_.max_shrinks; ++i) {
+  for (std::size_t i = 0; i < n && shrunk < kMaxShrinks; ++i) {
     if (report.cells[i].ok || !report.cells[i].expect_ok ||
         report.cells[i].backend != BackendKind::Sim) {
       continue;
     }
-    report.shrinks.push_back(shrink(materialize(i)));
+    report.shrinks.push_back(shrink(scenarios_[i]));
     ++shrunk;
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -870,33 +507,11 @@ SweepReport SweepEngine::run(int workers) const {
   return report;
 }
 
-bool SweepEngine::write_json(const SweepReport& report, const SweepPlan& plan,
+bool SweepEngine::write_json(const SweepReport& report,
                              const std::string& path) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"bench\": \"scenario_sweep\",\n");
-  std::fprintf(out, "  \"plan\": {\n    \"protocols\": [");
-  for (std::size_t i = 0; i < plan.protocols.size(); ++i) {
-    std::fprintf(out, "%s\"%s\"", i > 0 ? ", " : "",
-                 protocol_traits(plan.protocols[i]).cli_name);
-  }
-  std::fprintf(out, "],\n    \"backends\": [");
-  for (std::size_t i = 0; i < plan.backends.size(); ++i) {
-    std::fprintf(out, "%s\"%s\"", i > 0 ? ", " : "",
-                 harness::to_string(plan.backends[i]));
-  }
-  std::fprintf(out, "],\n    \"templates\": [");
-  for (std::size_t i = 0; i < plan.templates.size(); ++i) {
-    std::fprintf(out, "%s\"%s\"", i > 0 ? ", " : "",
-                 harness::to_string(plan.templates[i]));
-  }
-  std::fprintf(out,
-               "],\n    \"seeds\": %d,\n    \"base_seed\": %llu,\n"
-               "    \"t\": %d,\n    \"b\": %d,\n    \"readers\": %d,\n"
-               "    \"writes\": %d,\n    \"reads_per_reader\": %d\n  },\n",
-               plan.seeds, static_cast<unsigned long long>(plan.base_seed),
-               plan.t, plan.b, plan.readers, plan.writes,
-               plan.reads_per_reader);
   std::fprintf(out,
                "  \"cells_total\": %zu,\n  \"cells_failed\": %d,\n"
                "  \"workers\": %d,\n  \"wall_ms\": %.1f,\n",
@@ -907,13 +522,13 @@ bool SweepEngine::write_json(const SweepReport& report, const SweepPlan& plan,
     const auto& c = report.cells[i];
     std::fprintf(
         out,
-        "    {\"key\": \"%s\", \"ok\": %s, \"expect_ok\": %s, "
+        "    {\"name\": \"%s\", \"ok\": %s, \"expect_ok\": %s, "
         "\"violations\": %d, "
         "\"ops\": %d, \"stuck\": %d, \"events\": %llu, \"msgs\": %llu, "
         "\"bytes\": %llu, \"write_p95\": %llu, \"read_p95\": %llu, "
         "\"hist_peak\": %llu, \"hist_retired\": %llu, "
         "\"fingerprint\": \"%016llx\", \"wall_ms\": %.3f}%s\n",
-        c.key.c_str(), c.ok ? "true" : "false",
+        c.name.c_str(), c.ok ? "true" : "false",
         c.expect_ok ? "true" : "false", c.violations, c.ops_complete,
         c.ops_stuck, static_cast<unsigned long long>(c.events),
         static_cast<unsigned long long>(c.net.messages_sent),
@@ -932,11 +547,11 @@ bool SweepEngine::write_json(const SweepReport& report, const SweepPlan& plan,
     if (c.ok == c.expect_ok) continue;
     const ShrinkResult* shrink = nullptr;
     for (const auto& sr : report.shrinks) {
-      if (sr.key == c.key) shrink = &sr;
+      if (sr.name == c.name) shrink = &sr;
     }
     std::fprintf(out,
-                 "    {\"key\": \"%s\", \"violation\": \"%s\"",
-                 c.key.c_str(), json_escape(c.first_violation).c_str());
+                 "    {\"name\": \"%s\", \"violation\": \"%s\"",
+                 c.name.c_str(), json_escape(c.first_violation).c_str());
     if (shrink != nullptr) {
       std::fprintf(out,
                    ", \"shrink\": {\"original_events\": %d, "
@@ -944,12 +559,13 @@ bool SweepEngine::write_json(const SweepReport& report, const SweepPlan& plan,
                    "\"schedule\": [",
                    shrink->original_events, shrink->minimal.events.size(),
                    shrink->reruns);
-      for (std::size_t i = 0; i < shrink->minimal.events.size(); ++i) {
+      const auto& events = shrink->minimal.events;
+      for (std::size_t i = 0; i < events.size(); ++i) {
         std::fprintf(out, "%s\"%s\"", i > 0 ? ", " : "",
-                     json_escape(shrink->minimal.events[i].describe()).c_str());
+                     json_escape(emit_fault(events[i])).c_str());
       }
       std::fprintf(out, "], \"replay\": \"--replay %s\"}",
-                   shrink->key.c_str());
+                   shrink->name.c_str());
     }
     ++emitted;
     std::fprintf(out, "}%s\n", emitted < failures ? "," : "");

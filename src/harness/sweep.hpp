@@ -1,44 +1,33 @@
-// Deterministic multi-seed scenario sweep engine.
+// Deterministic scenario sweep engine.
 //
-// A SweepPlan is a grid of {protocol x backend x fault-plan template x RNG
-// seed}. The engine materializes one deterministic Scenario per cell -- a
-// seeded chaos schedule of crashes, held-channel waves, Byzantine impostors
-// (forged values), plus a seeded workload mix and shard count -- runs the
-// cells concurrently on a thread pool (one private Deployment, hence one
-// private sim::World, per cell: the DES is single-threaded-deterministic,
-// so N worlds saturate N cores), and aggregates per-cell verdicts into a
-// SweepReport (history-checker pass/fail, liveness, NetStats, latency p95,
-// and on the DES a golden schedule fingerprint).
+// A sweep is a list of Scenarios -- each loaded from a .scn file
+// (harness/scenario_dsl.hpp, docs/SCENARIO_DSL.md) or generated by the
+// seeded ScenarioFuzzer (harness/fuzz.hpp) -- run concurrently on a thread
+// pool (one private Deployment, hence one private sim::World, per cell: the
+// DES is single-threaded-deterministic, so N worlds saturate N cores). The
+// per-cell verdicts aggregate into a SweepReport (history-checker pass/fail,
+// liveness, NetStats, latency p95, and on the DES a golden schedule
+// fingerprint).
 //
-// Every cell is addressed by a canonical key, "protocol:backend:template:
-// seed" (e.g. "safe:des:chaos:42"); materialization depends only on the key
-// and the plan's budget/workload knobs, never on worker count or execution
-// order, so any cell -- in particular any *failing* cell -- is replayable
-// with one CLI flag (sweep_cli --replay KEY). DES cells replay bit-
-// identically (same fingerprint); threads cells replay the same schedule
-// under genuine wall-clock nondeterminism.
+// A Scenario is fully explicit: protocol, backend, budget, workload, fault
+// events and one deployment seed (`run_seed`). Running it depends on
+// nothing else, never on worker count or execution order, so any cell -- in
+// particular any *failing* cell -- replays by its name (sweep_cli --replay
+// NAME). DES cells replay bit-identically (same fingerprint); threads and
+// net cells replay the same schedule under genuine wall-clock
+// nondeterminism.
 //
 // When a cell fails, the engine re-runs it under a ddmin fault-plan
 // shrinker (Zeller's delta debugging over the event list: try chunks, then
 // chunk complements, refine granularity until 1-minimal). The result is a
 // minimal failing schedule (removing any single remaining event makes the
-// failure disappear) small enough to read, plus the seed to replay it.
+// failure disappear) small enough to read, with the same seed.
 //
-// Beyond the grid, a plan carries a *library* of explicit Scenarios --
-// typically parsed from scenario files (src/harness/scenario_dsl.hpp,
-// docs/SCENARIO_DSL.md) -- that run as first-class cells after the grid.
-// Library cells are keyed "scn:<name>" and carry an expected verdict
-// (`expect_ok`), so a committed shrinker-emitted failure file counts as
-// *passing* when it still fails the same way.
-//
-// The "overload" template deliberately exceeds the crash budget (t+1 timed
-// crashes plus droppable hold-wave noise), so quorums become permanently
-// unreachable and reads stall: a guaranteed liveness failure that exercises
-// the failure-detection + shrinking + replay pipeline end-to-end. It is
-// excluded from default_fault_templates() -- CI sweeps must be all green.
-// On the threads backend the engine gives such cells a bounded wall-clock
-// deadline (BackendConfig::max_wall_time_ms) so they degrade to a liveness
-// verdict instead of aborting the process.
+// Each scenario carries an expected verdict (`expect_ok`), so a committed
+// shrinker-emitted failure file, or a fuzzer cell that deliberately
+// exceeds the crash budget, counts as *passing* when it still fails the
+// same way. A scenario with a wall-clock deadline (`max_wall_ms`) ends a
+// threads or net stall as a liveness verdict instead of aborting.
 #pragma once
 
 #include <cstdint>
@@ -55,30 +44,9 @@
 
 namespace rr::harness {
 
-/// Fault-plan templates: the shapes of adversarial schedule a cell's seed
-/// is expanded into (Section 2's fault model: up to t faulty objects, up to
-/// b of them arbitrary, plus scheduler-controlled asynchrony).
-enum class FaultTemplate {
-  None,      ///< fault-free (pure workload + random delays)
-  Crash,     ///< <= t timed crashes
-  Byz,       ///< <= b Byzantine impostors, random strategies
-  Mixed,     ///< Byzantine + crashes, within the (t, b) budget
-  Chaos,     ///< held-channel waves ("messages remain in transit")
-  ByzChaos,  ///< Byzantine + held-channel waves
-  Overload,  ///< t+1 crashes: deliberate liveness violation (DES only)
-};
-
-[[nodiscard]] const char* to_string(FaultTemplate t);
-[[nodiscard]] std::optional<FaultTemplate> fault_template_from_name(
-    std::string_view name);
-/// The templates a default sweep grid runs (everything except Overload).
-[[nodiscard]] const std::vector<FaultTemplate>& default_fault_templates();
-
-/// One discrete, independently droppable fault of a materialized schedule.
-/// The shrinker works at this granularity. The gray-failure kinds (from
-/// PartitionIn down) are never drawn by the grid templates -- they enter
-/// scenarios through the DSL (docs/SCENARIO_DSL.md) -- so legacy cell
-/// schedules stay bit-identical.
+/// One discrete, independently droppable fault of a scenario's schedule.
+/// The shrinker works at this granularity; emit_fault()
+/// (harness/scenario_dsl.hpp) prints one as its DSL `fault` line.
 struct FaultEvent {
   enum class Kind {
     Byzantine,  ///< impostor object from construction time
@@ -117,17 +85,14 @@ struct FaultEvent {
   Time jitter{0};      ///< Flap: max seeded forward shift per edge
   std::int64_t skew{0};  ///< Skew: signed clock offset
 
-  [[nodiscard]] std::string describe() const;
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// A fully materialized sweep cell: everything needed to run it, and
-/// nothing that depends on where or when it runs.
+/// One sweep cell: everything needed to run it, and nothing that depends
+/// on where or when it runs.
 struct Scenario {
   Protocol protocol{Protocol::Safe};
   BackendKind backend{BackendKind::Sim};
-  FaultTemplate tmpl{FaultTemplate::None};
-  std::uint64_t seed{1};
 
   int t{2};
   int b{1};
@@ -145,8 +110,8 @@ struct Scenario {
 
   std::vector<FaultEvent> events;
 
-  /// Library scenarios (parsed from .scn files) carry a name; their cell
-  /// key becomes "scn:<name>" instead of the grid coordinates.
+  /// The cell's address: a .scn file's name (its stem by default) or the
+  /// fuzzer's "fuzz-<seed>-<index>".
   std::string name;
   /// The verdict this scenario is expected to produce. Committed shrinker
   /// fixtures set false: the cell *passes* when the failure reproduces.
@@ -154,10 +119,9 @@ struct Scenario {
   /// Threads cells: bounded run deadline in wall-clock ms (0 = none). With
   /// a deadline, non-quiescence becomes a liveness verdict, not an abort.
   std::uint64_t max_wall_ms{0};
-  /// The deployment RNG seed. 0 = derive from the cell coordinates (the
-  /// legacy rule); materialize() pins the derived value so an emitted
-  /// scenario file replays bit-identically to its grid twin.
-  std::uint64_t run_seed{0};
+  /// The deployment RNG seed, the scenario's only seed: delays, link-fault
+  /// draws, flap jitter and open-loop arrivals all fold from it.
+  std::uint64_t run_seed{1};
   /// Regular-object history retention (Regular / RegularOptimized only):
   /// hard cap on retained slots (0 = unlimited) and the ack-driven
   /// watermark GC toggle. See DeploymentOptions::history_limit/history_gc.
@@ -166,8 +130,7 @@ struct Scenario {
   /// Open-loop workload (docs/WORKLOADS.md): any arrival other than Closed
   /// replaces the chained mixed workload with the open-loop engine -- the
   /// fields below size its population and horizon. Closed (the default)
-  /// keeps the legacy writes/reads_per_reader/gap workload, so every
-  /// committed scenario and grid cell is untouched.
+  /// keeps the chained writes/reads_per_reader/gap workload.
   ArrivalKind arrival{ArrivalKind::Closed};
   std::uint64_t clients{256};
   Time think{50'000};        ///< mean per-client think time (clock units)
@@ -178,24 +141,19 @@ struct Scenario {
   /// and fingerprints match batch mode bit-for-bit.
   std::size_t checker_window{0};
 
-  /// Canonical cell address: "protocol:backend:template:seed", or
-  /// "scn:<name>" when named.
-  [[nodiscard]] std::string key() const;
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
 
 /// Per-cell outcome. A cell is OK iff the history checker passes AND every
 /// invoked operation completed (wait-freedom within the budget).
 struct CellVerdict {
-  std::string key;
+  std::string name;
   Protocol protocol{Protocol::Safe};
   BackendKind backend{BackendKind::Sim};
-  FaultTemplate tmpl{FaultTemplate::None};
-  std::uint64_t seed{1};
 
   bool ok{false};
   /// The scenario's expected verdict; a cell counts as failed when
-  /// ok != expect_ok (grid cells always expect true).
+  /// ok != expect_ok.
   bool expect_ok{true};
   int violations{0};
   std::string first_violation;  ///< empty when the checker passed
@@ -207,7 +165,7 @@ struct CellVerdict {
   Time read_p95{0};
   /// DES cells: hash of (schedule fingerprint, per-shard histories,
   /// NetStats). Bit-identical across runs and worker counts for the same
-  /// key + plan knobs. 0 on the threads backend (nondeterministic).
+  /// scenario. 0 on the threads and net backends (nondeterministic).
   std::uint64_t fingerprint{0};
   /// Checker residency: peak resident (unretired) ops of the largest shard
   /// and total ops retired online. Batch cells: peak is the largest shard
@@ -218,52 +176,9 @@ struct CellVerdict {
   double wall_ms{0};
 };
 
-/// The sweep grid plus the budget/workload knobs every cell inherits.
-struct SweepPlan {
-  std::vector<Protocol> protocols;
-  std::vector<BackendKind> backends{BackendKind::Sim,
-                                    BackendKind::Threads};
-  std::vector<FaultTemplate> templates{default_fault_templates()};
-  /// Seed axis: cells use seeds base_seed .. base_seed + seeds - 1.
-  int seeds{16};
-  std::uint64_t base_seed{1};
-
-  int t{2};
-  int b{1};
-  int readers{2};
-  /// Workload scale: per-cell values are drawn from the cell seed in
-  /// [ceil(x/2), x] so the mix varies across cells.
-  int writes{6};
-  int reads_per_reader{4};
-  std::optional<Semantics> check_override{};
-  /// Failing DES cells shrunk per run (threads failures are reported
-  /// unshrunk: their schedules do not replay deterministically).
-  int max_shrinks{4};
-  /// Explicit scenarios (e.g. a scenarios/ directory parsed through the
-  /// DSL) run as cells after the grid, honoring each one's own budget,
-  /// workload, events and expected verdict.
-  std::vector<Scenario> library;
-
-  [[nodiscard]] std::size_t num_cells() const {
-    return protocols.size() * backends.size() * templates.size() *
-               static_cast<std::size_t>(seeds) +
-           library.size();
-  }
-  /// Grid cells only (num_cells() minus the library).
-  [[nodiscard]] std::size_t num_grid_cells() const {
-    return protocols.size() * backends.size() * templates.size() *
-           static_cast<std::size_t>(seeds);
-  }
-
-  /// The CI quick grid: 3 protocols x both backends x the 6 default
-  /// templates x 28 seeds = 1008 cells, small per-cell workloads.
-  [[nodiscard]] static SweepPlan quick();
-};
-
 /// Outcome of ddmin-shrinking one failing cell.
 struct ShrinkResult {
-  std::string key;          ///< the failing cell's address
-  std::uint64_t seed{0};
+  std::string name;         ///< the failing cell's address
   int original_events{0};   ///< fault events before shrinking
   int reruns{0};            ///< scenario re-executions the shrinker spent
   Scenario minimal;         ///< minimal failing schedule (same cell, fewer events)
@@ -271,7 +186,7 @@ struct ShrinkResult {
 };
 
 struct SweepReport {
-  std::vector<CellVerdict> cells;  ///< grid order (protocol-major)
+  std::vector<CellVerdict> cells;  ///< plan order
   std::vector<ShrinkResult> shrinks;
   int failed{0};
   int workers{0};
@@ -282,23 +197,15 @@ struct SweepReport {
 
 class SweepEngine {
  public:
-  explicit SweepEngine(SweepPlan plan);
+  /// The sweep's cells, in report order.
+  explicit SweepEngine(std::vector<Scenario> scenarios);
 
-  [[nodiscard]] const SweepPlan& plan() const { return plan_; }
+  [[nodiscard]] const std::vector<Scenario>& scenarios() const {
+    return scenarios_;
+  }
 
-  /// Materializes cell `index`: grid cells first (seed-major within
-  /// template within backend within protocol), then the plan's library
-  /// scenarios verbatim.
-  [[nodiscard]] Scenario materialize(std::size_t index) const;
-  /// Materializes the cell at explicit grid coordinates.
-  [[nodiscard]] Scenario materialize(Protocol p, BackendKind backend,
-                                     FaultTemplate tmpl,
-                                     std::uint64_t seed) const;
-  /// Parses a canonical cell key and materializes it (plan knobs apply;
-  /// the key's coordinates need not lie on the plan's grid axes). A
-  /// "scn:<name>" key resolves against the plan's library.
-  [[nodiscard]] std::optional<Scenario> materialize_key(
-      std::string_view key) const;
+  /// The cell called `name`; nullptr when there is none.
+  [[nodiscard]] const Scenario* find(std::string_view name) const;
 
   /// Runs one scenario to completion in the calling thread.
   [[nodiscard]] static CellVerdict run_cell(const Scenario& s);
@@ -308,19 +215,22 @@ class SweepEngine {
   /// the failure disappear).
   [[nodiscard]] static ShrinkResult shrink(const Scenario& s);
 
-  /// Runs the whole grid on `workers` threads (0 = hardware concurrency),
-  /// then shrinks up to plan.max_shrinks failing DES cells. DES cell
-  /// verdicts are bit-identical across runs and worker counts; threads
-  /// cells are genuine wall-clock runs whose timing-derived fields
-  /// (events, NetStats, p95, wall_ms) vary between executions.
+  /// Runs every cell on `workers` threads (0 = hardware concurrency),
+  /// then shrinks the first few unexpectedly failing DES cells (threads
+  /// and net failures are reported unshrunk: their schedules do not
+  /// replay deterministically). DES cell verdicts are bit-identical
+  /// across runs and worker counts; threads cells are genuine wall-clock
+  /// runs whose timing-derived fields (events, NetStats, p95, wall_ms)
+  /// vary between executions.
   [[nodiscard]] SweepReport run(int workers = 0) const;
 
-  /// Writes BENCH_scenario_sweep-style JSON. Returns false on I/O error.
-  static bool write_json(const SweepReport& report, const SweepPlan& plan,
-                         const std::string& path);
+  /// Writes BENCH_scenario_sweep-style JSON: one row per cell, and for
+  /// each unexpected verdict its shrunk schedule as DSL `fault` lines.
+  /// Returns false on I/O error.
+  static bool write_json(const SweepReport& report, const std::string& path);
 
  private:
-  SweepPlan plan_;
+  std::vector<Scenario> scenarios_;
 };
 
 }  // namespace rr::harness

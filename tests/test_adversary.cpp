@@ -46,12 +46,13 @@ struct Fixture {
 };
 
 TEST(StrategyNames, RoundTrip) {
-  for (const auto k :
-       {StrategyKind::Silent, StrategyKind::Amnesiac, StrategyKind::Forger,
-        StrategyKind::Accuser, StrategyKind::Equivocator,
-        StrategyKind::Stagger, StrategyKind::Collude, StrategyKind::Random}) {
+  for (const auto k : kAllStrategies) {
     EXPECT_EQ(strategy_from_name(to_string(k)), k);
   }
+  EXPECT_EQ(std::size(kAllStrategies),
+            static_cast<std::size_t>(StrategyKind::StaleReplay) + 1);
+  EXPECT_FALSE(strategy_from_name("nope").has_value());
+  EXPECT_FALSE(strategy_from_name("").has_value());
 }
 
 TEST(SilentStrategy, NeverReplies) {

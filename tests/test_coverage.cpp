@@ -45,7 +45,8 @@ TEST(Coverage, CommittedLibraryCoversEveryModelLegalCell) {
 // primitives outside the channel model (loss, dup).
 TEST(Coverage, MissingCellsAreNamedAndModelLegalOnly) {
   const auto parsed = parse_scenario(
-      "scenario safe des seed=1 name=only-crash\n"
+      "scenario safe des name=only-crash\n"
+      "runseed 1\n"
       "fault crash obj=0 at=5\n");
   ASSERT_TRUE(parsed.ok) << parsed.error;
   CoverageMatrix matrix;

@@ -13,6 +13,7 @@
 
 #include "harness/deployment.hpp"
 #include "harness/protocol.hpp"
+#include "harness/scenario_dsl.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workload.hpp"
 
@@ -23,11 +24,10 @@ Scenario base_scenario(BackendKind backend) {
   Scenario s;
   s.protocol = Protocol::Regular;
   s.backend = backend;
-  s.tmpl = FaultTemplate::None;
-  s.seed = 5;
+  s.run_seed = 5;
   s.writes = 5;
   s.reads_per_reader = 4;
-  s.name = "prim";  // library-style cell: run_seed derived, key scn:prim
+  s.name = "prim";
   if (backend != BackendKind::Sim) {
     s.max_wall_ms = 10'000;  // stalls degrade to a verdict, never a hang
   }
@@ -88,7 +88,7 @@ TEST_P(FaultPrimitivesOnBothBackends, AsymmetricPartitionWithinBudgetIsOk) {
     ev.duration = 60'000;
     s.events.push_back(ev);
     const CellVerdict v = SweepEngine::run_cell(s);
-    EXPECT_TRUE(v.ok) << ev.describe() << ": " << v.first_violation;
+    EXPECT_TRUE(v.ok) << emit_fault(ev) << ": " << v.first_violation;
   }
 }
 
@@ -332,11 +332,18 @@ TEST(FaultPrimitives, ClockSkewIsDesOnly) {
 // A threads cell whose fault plan stalls its quorums degrades to a liveness
 // verdict under a bounded deadline instead of aborting the process.
 TEST(FaultPrimitives, ThreadsOverloadDegradesToLivenessVerdict) {
-  const SweepEngine engine(SweepPlan::quick());
-  Scenario s = engine.materialize(Protocol::Safe, BackendKind::Threads,
-                                  FaultTemplate::Overload, 1);
-  ASSERT_GT(s.max_wall_ms, 0u);
+  Scenario s;
+  s.protocol = Protocol::Safe;
+  s.backend = BackendKind::Threads;
   s.max_wall_ms = 1'500;  // keep the test fast; the stall shows immediately
+  // t+1 = 3 crashes early in the run: quorums of S - t are gone for good.
+  for (const int obj : {0, 2, 4}) {
+    FaultEvent crash;
+    crash.kind = FaultEvent::Kind::Crash;
+    crash.object = obj;
+    crash.at = 5'000;
+    s.events.push_back(crash);
+  }
   const CellVerdict v = SweepEngine::run_cell(s);
   EXPECT_FALSE(v.ok);
   EXPECT_GT(v.ops_stuck, 0);

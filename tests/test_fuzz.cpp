@@ -150,7 +150,7 @@ TEST(Fuzz, RunIsDeterministicAcrossWorkerCounts) {
   for (std::size_t i = 0; i < one.report.cells.size(); ++i) {
     const auto& a = one.report.cells[i];
     const auto& b = four.report.cells[i];
-    EXPECT_EQ(a.key, b.key);
+    EXPECT_EQ(a.name, b.name);
     EXPECT_EQ(a.ok, b.ok);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_NE(a.fingerprint, 0u);
@@ -170,7 +170,7 @@ TEST(Fuzz, OverloadCellsFailAsExpected) {
   EXPECT_TRUE(r.unexpected.empty()) << r.unexpected.front();
   for (const auto& v : r.report.cells) {
     EXPECT_FALSE(v.expect_ok);
-    EXPECT_FALSE(v.ok) << v.key << " completed despite t+1 crashes";
+    EXPECT_FALSE(v.ok) << v.name << " completed despite t+1 crashes";
   }
 }
 

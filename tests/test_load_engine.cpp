@@ -337,8 +337,7 @@ TEST(LoadEngine, OpenLoopDesCellIsDeterministicAndBounded) {
   Scenario s;
   s.protocol = Protocol::Safe;
   s.backend = BackendKind::Sim;
-  s.tmpl = FaultTemplate::None;
-  s.seed = 7;
+  s.run_seed = 7;
   s.shards = 2;
   s.arrival = ArrivalKind::Poisson;
   s.clients = 2'000;
@@ -375,8 +374,7 @@ TEST(LoadEngine, OpenLoopSurvivesChaosWithWindowedChecker) {
   Scenario s;
   s.protocol = Protocol::Regular;
   s.backend = BackendKind::Sim;
-  s.tmpl = FaultTemplate::None;
-  s.seed = 11;
+  s.run_seed = 11;
   s.arrival = ArrivalKind::Bursty;
   s.clients = 1'000;
   s.think = 10'000'000;

@@ -459,12 +459,18 @@ TEST(NetBackendTest, BoundedRunDegradesToTimedOut) {
 // quorums on the net backend ends as a liveness verdict under the bounded
 // deadline instead of hanging the sweep.
 TEST(NetBackendTest, OverloadSweepCellDegradesToLivenessVerdict) {
-  const harness::SweepEngine engine(harness::SweepPlan::quick());
-  harness::Scenario s = engine.materialize(
-      harness::Protocol::Safe, harness::BackendKind::Net,
-      harness::FaultTemplate::Overload, 1);
-  ASSERT_GT(s.max_wall_ms, 0u) << "net overload cells must be bounded";
+  harness::Scenario s;
+  s.protocol = harness::Protocol::Safe;
+  s.backend = harness::BackendKind::Net;
   s.max_wall_ms = 1'500;  // keep the test fast; the stall shows immediately
+  // t+1 = 3 crashes early in the run: quorums of S - t are gone for good.
+  for (const int obj : {0, 2, 4}) {
+    harness::FaultEvent crash;
+    crash.kind = harness::FaultEvent::Kind::Crash;
+    crash.object = obj;
+    crash.at = 5'000;
+    s.events.push_back(crash);
+  }
   const harness::CellVerdict v = harness::SweepEngine::run_cell(s);
   EXPECT_FALSE(v.ok);
   EXPECT_GT(v.ops_stuck, 0);

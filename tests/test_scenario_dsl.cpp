@@ -1,8 +1,7 @@
 // Scenario DSL invariants: the round-trip property (parse -> emit -> parse
-// is the identity on the Scenario and on the DES fingerprint), zero
-// semantic drift between the six legacy enum templates and their committed
-// scenario-file twins, and the fixture-replay regression contract for
-// tests/fixtures/scenarios/.
+// is the identity on the Scenario and on the DES fingerprint), golden DES
+// fingerprints for every committed scenario file, and the fixture-replay
+// regression contract for tests/fixtures/scenarios/.
 #include "harness/scenario_dsl.hpp"
 
 #include <gtest/gtest.h>
@@ -62,42 +61,61 @@ TEST(ScenarioDsl, RoundTripIsIdentityOnEveryCommittedFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero semantic drift: each committed legacy twin replays bit-identically to
-// the enum template it was emitted from. The twin file records the grid
-// coordinates (protocol, template, seed) in its scenario/template lines, so
-// the enum side is re-materialized from those, with the quick plan's knobs.
+// Golden values: every committed scenario file keeps the DES fingerprint,
+// verdict, completed-op count and message count it had when the fault-
+// template grid was retired and the files were rewritten to one seed each
+// (template lines and seed= keys dropped, the effective seed written as
+// `runseed`). The legacy-* files are the only record of the grid's shapes.
 // ---------------------------------------------------------------------------
-TEST(ScenarioDsl, LegacyTwinFilesMatchEnumTemplateFingerprints) {
-  const SweepEngine engine(SweepPlan::quick());
-  // Only the legacy-* files are enum twins; the rest of the library holds
-  // hand-written scenarios with no enum counterpart.
-  std::vector<std::string> files;
-  for (auto& f : scn_files(kLibraryDir)) {
-    if (std::filesystem::path(f).filename().string().rfind("legacy-", 0) == 0) {
-      files.push_back(std::move(f));
-    }
-  }
-  ASSERT_GE(files.size(), 6u);  // one twin per default template
-  std::vector<FaultTemplate> seen;
-  for (const auto& path : files) {
-    SCOPED_TRACE(path);
-    const auto parsed = load_scenario_file(path);
+TEST(ScenarioDsl, CommittedFilesKeepTheirFingerprints) {
+  struct Golden {
+    const char* file;
+    std::uint64_t fingerprint;
+    bool ok;
+    int ops_complete;
+    std::uint64_t messages_sent;
+  };
+  const Golden kGolden[] = {
+      {"scenarios/coverage-abd.scn", 0x4ab22636ec9f6462ULL, true, 14, 207},
+      {"scenarios/coverage-auth.scn", 0x0a5fff9fe83e7214ULL, true, 14, 170},
+      {"scenarios/coverage-fastwrite.scn", 0x8d3fde71b2e7be25ULL, true, 14,
+       269},
+      {"scenarios/coverage-polling.scn", 0xae57ecf9e756207dULL, true, 14, 298},
+      {"scenarios/coverage-regular-opt.scn", 0x89b96f06a6a9233fULL, true, 14,
+       330},
+      {"scenarios/coverage-regular.scn", 0x112fd65063f2a4f6ULL, true, 14, 331},
+      {"scenarios/coverage-safe.scn", 0x49d03ae08fdec62eULL, true, 14, 320},
+      {"scenarios/hist-hardcap.scn", 0xcf927246327e4452ULL, true, 40, 640},
+      {"scenarios/legacy-byz.scn", 0xbaa8906d01bcf0c1ULL, true, 8, 189},
+      {"scenarios/legacy-byzchaos.scn", 0xa389d7e31dbd7490ULL, true, 11, 259},
+      {"scenarios/legacy-chaos.scn", 0xfaf8dbfe91ea2e36ULL, true, 9, 130},
+      {"scenarios/legacy-crash.scn", 0x774aa831b51b9398ULL, true, 10, 236},
+      {"scenarios/legacy-mixed.scn", 0x71c6c5befbb9494aULL, true, 8, 177},
+      {"scenarios/legacy-none.scn", 0xcdeab39bb56b25e5ULL, true, 11, 262},
+      {"tests/fixtures/scenarios/gray-soak.scn", 0xbec3bea146219838ULL, true,
+       13, 289},
+      {"tests/fixtures/scenarios/lossy-links.scn", 0xdcad359d7ea65f60ULL,
+       false, 7, 171},
+      {"tests/fixtures/scenarios/poll-gray-stale-read.scn",
+       0xe13848d4fa6c5528ULL, true, 26, 204},
+      {"tests/fixtures/scenarios/shrunk-overload.scn", 0x788b01580898e7b4ULL,
+       false, 3, 95},
+  };
+  // Every committed file is pinned: a new file needs a golden row too.
+  EXPECT_EQ(scn_files(kLibraryDir).size() + scn_files(kFixtureDir).size(),
+            std::size(kGolden));
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(g.file);
+    const auto parsed =
+        load_scenario_file(std::string(RR_SOURCE_DIR) + "/" + g.file);
     ASSERT_TRUE(parsed.ok) << parsed.error;
     ASSERT_EQ(parsed.scenario.backend, BackendKind::Sim);
-    const Scenario enum_twin =
-        engine.materialize(parsed.scenario.protocol, parsed.scenario.backend,
-                           parsed.scenario.tmpl, parsed.scenario.seed);
-    // The twin must carry the exact same schedule...
-    EXPECT_EQ(parsed.scenario.events, enum_twin.events);
-    EXPECT_EQ(parsed.scenario.run_seed, enum_twin.run_seed);
-    // ...and replay to the exact same DES fingerprint.
-    EXPECT_EQ(SweepEngine::run_cell(parsed.scenario).fingerprint,
-              SweepEngine::run_cell(enum_twin).fingerprint);
-    seen.push_back(parsed.scenario.tmpl);
-  }
-  for (const auto t : default_fault_templates()) {
-    EXPECT_NE(std::find(seen.begin(), seen.end(), t), seen.end())
-        << "no committed twin for template " << to_string(t);
+    const CellVerdict v = SweepEngine::run_cell(parsed.scenario);
+    EXPECT_EQ(v.fingerprint, g.fingerprint);
+    EXPECT_EQ(v.ok, g.ok) << v.first_violation;
+    EXPECT_EQ(v.ok, parsed.scenario.expect_ok);
+    EXPECT_EQ(v.ops_complete, g.ops_complete);
+    EXPECT_EQ(v.net.messages_sent, g.messages_sent);
   }
 }
 
@@ -122,22 +140,19 @@ TEST(ScenarioDsl, FixturesReproduceTheirRecordedVerdicts) {
   EXPECT_GE(expected_failures, 1);
 }
 
-// The library directory also runs through the sweep engine as first-class
-// cells, with expect-aware failure counting.
+// The fixture directory also runs through the sweep engine as first-class
+// cells, named by file stem, with expect-aware failure counting.
 TEST(ScenarioDsl, LibraryRunsAsSweepCells) {
   const auto lib = load_scenario_dir(kFixtureDir);
   ASSERT_TRUE(lib.ok()) << lib.errors.front();
-  SweepPlan plan;
-  plan.protocols.clear();
-  plan.backends.clear();
-  plan.templates.clear();
-  plan.library = lib.scenarios;
-  const SweepEngine engine(std::move(plan));
-  EXPECT_EQ(engine.plan().num_cells(), lib.scenarios.size());
+  const SweepEngine engine(lib.scenarios);
   const SweepReport report = engine.run(2);
+  ASSERT_EQ(report.cells.size(), lib.scenarios.size());
   EXPECT_EQ(report.failed, 0) << "a fixture's verdict drifted";
-  for (const auto& cell : report.cells) {
-    EXPECT_EQ(cell.key.rfind("scn:", 0), 0u) << cell.key;
+  const auto files = scn_files(kFixtureDir);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(report.cells[i].name,
+              std::filesystem::path(files[i]).stem().string());
   }
 }
 
@@ -148,7 +163,8 @@ TEST(ScenarioDsl, LibraryRunsAsSweepCells) {
 // ---------------------------------------------------------------------------
 TEST(ScenarioDsl, SugarLowersToCanonicalForm) {
   const auto parsed = parse_scenario(
-      "scenario safe des seed=4 name=sugar\n"
+      "scenario safe des name=sugar\n"
+      "runseed 4\n"
       "workload writes=3 reads=2 write_gap=5us read_gap=3us shards=1\n"
       "fault gray obj=1 slow=8x from=10us to=200us\n"
       "fault flap objs=0,3 period=20us duty=0.5\n"
@@ -173,7 +189,8 @@ TEST(ScenarioDsl, SugarLowersToCanonicalForm) {
 
 TEST(ScenarioDsl, HistoryDirectiveRoundTrips) {
   const auto parsed = parse_scenario(
-      "scenario regular des seed=3 name=hist\n"
+      "scenario regular des name=hist\n"
+      "runseed 3\n"
       "history limit=8 gc=off\n");
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.scenario.history_limit, 8u);
@@ -181,16 +198,17 @@ TEST(ScenarioDsl, HistoryDirectiveRoundTrips) {
   const auto again = parse_scenario(emit_scenario(parsed.scenario));
   ASSERT_TRUE(again.ok) << again.error;
   EXPECT_EQ(again.scenario, parsed.scenario);
-  // The defaults (limit=0, gc=on) emit no history line at all, keeping
-  // legacy files byte-stable.
-  const auto plain = parse_scenario("scenario regular des seed=3 name=x\n");
+  // The defaults (limit=0, gc=on) emit no history line at all.
+  const auto plain =
+      parse_scenario("scenario regular des name=x\nrunseed 3\n");
   ASSERT_TRUE(plain.ok);
   EXPECT_EQ(emit_scenario(plain.scenario).find("history"), std::string::npos);
 }
 
 TEST(ScenarioDsl, OpenLoopWorkloadKeysRoundTrip) {
   const auto parsed = parse_scenario(
-      "scenario safe des seed=5 name=open\n"
+      "scenario safe des name=open\n"
+      "runseed 5\n"
       "workload arrival=bursty clients=5000 think=2ms horizon=500us "
       "write_frac=0.2 window=64\n");
   ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -210,16 +228,16 @@ TEST(ScenarioDsl, OpenLoopWorkloadKeysRoundTrip) {
   // The window is independent of the arrival process: a closed-loop
   // scenario may still stream-check.
   const auto closed = parse_scenario(
-      "scenario safe des seed=5 name=win\nworkload window=32\n");
+      "scenario safe des name=win\nrunseed 5\nworkload window=32\n");
   ASSERT_TRUE(closed.ok) << closed.error;
   EXPECT_EQ(closed.scenario.arrival, ArrivalKind::Closed);
   EXPECT_EQ(closed.scenario.checker_window, 32u);
   const auto closed_again = parse_scenario(emit_scenario(closed.scenario));
   ASSERT_TRUE(closed_again.ok) << closed_again.error;
   EXPECT_EQ(closed_again.scenario, closed.scenario);
-  // Defaults (closed loop, batch checker) emit no open-loop keys at all,
-  // keeping every committed legacy file byte-stable.
-  const auto plain = parse_scenario("scenario safe des seed=5 name=x\n");
+  // Defaults (closed loop, batch checker) emit no open-loop keys at all.
+  const auto plain =
+      parse_scenario("scenario safe des name=x\nrunseed 5\n");
   ASSERT_TRUE(plain.ok);
   const std::string plain_text = emit_scenario(plain.scenario);
   EXPECT_EQ(plain_text.find("arrival"), std::string::npos) << plain_text;
@@ -228,7 +246,8 @@ TEST(ScenarioDsl, OpenLoopWorkloadKeysRoundTrip) {
 
 TEST(ScenarioDsl, OpenLoopDesCellsReplayBitIdentically) {
   const auto parsed = parse_scenario(
-      "scenario regular des seed=21 name=openrt\n"
+      "scenario regular des name=openrt\n"
+      "runseed 21\n"
       "workload arrival=poisson clients=800 think=8ms horizon=400us "
       "window=24\n"
       "fault gray obj=1 slow=3x at=50us dur=100us\n");
@@ -244,27 +263,46 @@ TEST(ScenarioDsl, OpenLoopDesCellsReplayBitIdentically) {
 
 TEST(ScenarioDsl, MalformedInputIsARejectionNotAnAbort) {
   const char* cases[] = {
-      "",                                          // no scenario line
-      "fault crash obj=0\nscenario safe des\n",    // scenario not first
-      "scenario warp des\n",                       // unknown protocol
-      "scenario safe des\nfault flip obj=0\n",     // unknown fault kind
-      "scenario safe des\nfault crash at=5\n",     // missing obj=
-      "scenario safe des\nfault crash obj=99 at=5\n",  // object out of range
-      "scenario safe des\nfault hold objs=0 at=5\n",   // hold without dur
-      "scenario safe des\nfault gray obj=0 slow=0.5\n",  // factor <= 1
-      "scenario safe des\nfault loss p=2\n",       // p out of range
-      "scenario safe des\nfault loss p=0.1\nfault loss p=0.2\n",  // dup rule
-      "scenario safe des\n"                        // byz over budget b=1
+      "",                                        // no scenario line
+      "scenario safe des\n",                     // no runseed line
+      "scenario safe des\nrunseed -3\n",         // bad runseed
+      "scenario safe des seed=7\nrunseed 1\n",   // retired seed= key
+      "scenario safe des\nrunseed 1\ntemplate none\n",  // retired directive
+      "fault crash obj=0\nscenario safe des\n",  // scenario not first
+      "scenario warp des\nrunseed 1\n",          // unknown protocol
+      "scenario safe des\nrunseed 1\n"           // unknown fault kind
+      "fault flip obj=0\n",
+      "scenario safe des\nrunseed 1\n"           // missing obj=
+      "fault crash at=5\n",
+      "scenario safe des\nrunseed 1\n"           // object out of range
+      "fault crash obj=99 at=5\n",
+      "scenario safe des\nrunseed 1\n"           // negative time
+      "fault crash obj=1 at=-5\n",
+      "scenario safe des\nrunseed 1\n"           // hold without dur
+      "fault hold objs=0 at=5\n",
+      "scenario safe des\nrunseed 1\n"           // factor <= 1
+      "fault gray obj=0 slow=0.5\n",
+      "scenario safe des\nrunseed 1\n"           // p out of range
+      "fault loss p=2\n",
+      "scenario safe des\nrunseed 1\n"           // second loss rule
+      "fault loss p=0.1\nfault loss p=0.2\n",
+      "scenario safe des\nrunseed 1\n"           // byz over budget b=1
       "fault byz obj=0\nfault byz obj=1\n",
-      "scenario safe des\nnonsense 1 2 3\n",       // unknown directive
-      "scenario regular des\nhistory limit=1\n",   // cap below two slots
-      "scenario regular des\nhistory gc=maybe\n",  // bad gc value
-      "scenario safe des\nworkload arrival=warp\n",      // unknown arrival
-      "scenario safe des\nworkload clients=500\n",       // clients need open
-      "scenario safe des\nworkload think=1ms\n",         // think needs open
-      "scenario safe des\n"                              // write_frac range
+      "scenario safe des\nrunseed 1\n"           // unknown directive
+      "nonsense 1 2 3\n",
+      "scenario regular des\nrunseed 1\n"        // cap below two slots
+      "history limit=1\n",
+      "scenario regular des\nrunseed 1\n"        // bad gc value
+      "history gc=maybe\n",
+      "scenario safe des\nrunseed 1\n"           // unknown arrival
+      "workload arrival=warp\n",
+      "scenario safe des\nrunseed 1\n"           // clients need open
+      "workload clients=500\n",
+      "scenario safe des\nrunseed 1\n"           // think needs open
+      "workload think=1ms\n",
+      "scenario safe des\nrunseed 1\n"           // write_frac range
       "workload arrival=poisson write_frac=1.5\n",
-      "scenario safe des\n"                              // zero population
+      "scenario safe des\nrunseed 1\n"           // zero population
       "workload arrival=poisson clients=0\n",
   };
   for (const char* text : cases) {
@@ -273,30 +311,40 @@ TEST(ScenarioDsl, MalformedInputIsARejectionNotAnAbort) {
     EXPECT_FALSE(parsed.ok);
     EXPECT_FALSE(parsed.error.empty());
   }
+  // A file in the retired grid format (a seed= key, a template line and no
+  // runseed) fails to parse instead of being silently re-seeded.
+  const auto old_format = parse_scenario(
+      "scenario safe des seed=1\ntemplate none\nbudget t=2 b=1 readers=2\n");
+  ASSERT_FALSE(old_format.ok);
+  EXPECT_NE(old_format.error.find("line 1: unknown key 'seed'"),
+            std::string::npos)
+      << old_format.error;
+  const auto no_seed = parse_scenario("scenario safe des\nbudget t=1 b=0\n");
+  ASSERT_FALSE(no_seed.ok);
+  EXPECT_NE(no_seed.error.find("line 1: missing runseed"), std::string::npos)
+      << no_seed.error;
 }
 
-// Named scenarios address as "scn:<name>" through the engine, and the name
-// defaults to the filename stem for file-backed scenarios.
+// Scenarios resolve by name through the engine (the name defaults to the
+// filename stem for file-backed scenarios).
 TEST(ScenarioDsl, NamedScenariosResolveThroughTheEngine) {
   auto parsed = parse_scenario(
-      "scenario regular des seed=2 name=probe\nfault crash obj=1 at=9000\n");
+      "scenario regular des name=probe\nrunseed 2\n"
+      "fault crash obj=1 at=9000\n");
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_EQ(parsed.scenario.key(), "scn:probe");
-  SweepPlan plan;
-  plan.protocols = {Protocol::Safe};
-  plan.library.push_back(parsed.scenario);
-  const SweepEngine engine(std::move(plan));
-  const auto found = engine.materialize_key("scn:probe");
-  ASSERT_TRUE(found.has_value());
+  const SweepEngine engine({parsed.scenario});
+  const Scenario* found = engine.find("probe");
+  ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, parsed.scenario);
-  EXPECT_FALSE(engine.materialize_key("scn:absent").has_value());
+  EXPECT_EQ(engine.find("absent"), nullptr);
 }
 
 // Client-role targets on gray/skew survive parse -> emit -> parse
 // bit-identically, alongside plain object targets.
 TEST(ScenarioDsl, ClientRoleTargetsRoundTrip) {
   const auto parsed = parse_scenario(
-      "scenario regular des seed=9 name=roles\n"
+      "scenario regular des name=roles\n"
+      "runseed 9\n"
       "budget t=1 b=0 readers=3\n"
       "fault gray role=writer slow=3 at=5000 dur=2000\n"
       "fault gray role=reader idx=2 slow=2 at=6000 dur=2000\n"
@@ -328,28 +376,31 @@ TEST(ScenarioDsl, ClientRoleTargetsRoundTrip) {
 TEST(ScenarioDsl, RangeErrorsNameTheOffendingLine) {
   {
     const auto parsed = parse_scenario(
-        "scenario safe des seed=1 name=bad\n"  // line 1
+        "scenario safe des name=bad\n"       // line 1
         "fault crash obj=1 at=5\n"             // line 2 (in range)
         "fault hold objs=0,9 at=5 dur=10\n"    // line 3: object 9 of S=3
-        "budget t=1 b=0 readers=2\n");
+        "budget t=1 b=0 readers=2\n"
+        "runseed 1\n");
     ASSERT_FALSE(parsed.ok);
     EXPECT_NE(parsed.error.find("line 3"), std::string::npos) << parsed.error;
   }
   {
     const auto parsed = parse_scenario(
-        "scenario safe des seed=1 name=bad\n"
+        "scenario safe des name=bad\n"
         "budget t=1 b=0 readers=2\n"
-        "fault gray role=reader idx=5 slow=2 at=5\n");  // line 3: R=2
+        "fault gray role=reader idx=5 slow=2 at=5\n"  // line 3: R=2
+        "runseed 1\n");
     ASSERT_FALSE(parsed.ok);
     EXPECT_NE(parsed.error.find("line 3"), std::string::npos) << parsed.error;
     EXPECT_NE(parsed.error.find("reader"), std::string::npos) << parsed.error;
   }
   {
     const auto parsed = parse_scenario(
-        "scenario safe des seed=1 name=bad\n"
+        "scenario safe des name=bad\n"
         "budget t=1 b=1 readers=2\n"
         "fault byz obj=0\n"
-        "fault byz obj=1\n");  // line 4: the (b+1)-th byz is the error
+        "fault byz obj=1\n"  // line 4: the (b+1)-th byz is the error
+        "runseed 1\n");
     ASSERT_FALSE(parsed.ok);
     EXPECT_NE(parsed.error.find("line 4"), std::string::npos) << parsed.error;
   }
