@@ -17,8 +17,9 @@
 //       (the primitive x protocol x budget matrix those files exercise)
 //
 // Writes BENCH_scenario_sweep.json with per-cell verdicts and, for every
-// unexpected failure, the minimal fault schedule as DSL `fault` lines plus
-// the --replay flag reproducing it. Exits 1 when any cell's verdict differs
+// unexpected failure, its scenario as DSL text -- shrunk to the minimal
+// fault schedule when the engine shrank it -- which replays on its own as
+// a file (--scenario FILE). Exits 1 when any cell's verdict differs
 // from its expectation (a .scn file's "expect" line; fuzz overload cells
 // expect to fail), 2 on a usage error.
 #include <algorithm>
@@ -419,7 +420,7 @@ int main(int argc, char** argv) {
   // --check: verdicts only (e.g. the CI scenario-library smoke); don't
   // clobber the BENCH JSON artifact.
   if (!check_mode) {
-    if (!harness::SweepEngine::write_json(report, json_path)) {
+    if (!engine.write_json(report, json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 2;
     }

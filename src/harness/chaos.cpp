@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -67,50 +68,6 @@ void inject_chaos(Deployment& d, const ChaosOptions& opts) {
   const Time base = d.now();
   auto st = std::make_shared<ChaosState>(opts.seed, base + opts.horizon);
   schedule_wave(d, opts, st, base + opts.start);
-}
-
-void inject_flap(Deployment& d, const FlapOptions& opts) {
-  if (opts.objects.empty() || opts.period == 0) return;
-  const Time base = d.now();
-  const Time end = base + opts.start + opts.horizon;
-  const auto held_span = static_cast<Time>(
-      static_cast<double>(opts.period) *
-      std::clamp(opts.duty, 0.05, 0.95));
-  // The whole edge schedule is derived here, before anything runs: replays
-  // and shrunk scenarios see identical times regardless of execution order.
-  Rng jitter_rng(opts.seed);
-  const auto jit = [&]() -> Time {
-    return opts.jitter == 0 ? 0 : jitter_rng.uniform(0, opts.jitter);
-  };
-  // Sequenced so a stale edge that the threaded backend runs late (see
-  // EdgeSequencer) cannot re-hold channels after the terminal release.
-  auto order = std::make_shared<EdgeSequencer>();
-  int next_edge = 0;
-  const auto post_edge = [&](Time at, bool hold) {
-    d.backend().post(at, d.writer_pid(),
-                     [&d, objs = opts.objects, hold, order,
-                      edge = next_edge++](net::Context&) {
-      if (!order->seal(edge)) return;
-      for (const int i : objs) {
-        if (hold) {
-          d.backend().hold_all(d.object_pid(i));
-        } else {
-          d.backend().release_all(d.object_pid(i));
-        }
-      }
-    });
-  };
-  for (Time cycle = base + opts.start; cycle < end; cycle += opts.period) {
-    const Time hold_at = cycle + jit();
-    Time release_at = hold_at + held_span + jit();
-    if (release_at > end) release_at = end;
-    if (hold_at >= end) break;
-    post_edge(hold_at, /*hold=*/true);
-    post_edge(release_at, /*hold=*/false);
-  }
-  // Belt and braces: whatever the jitter did, everything is reconnected at
-  // the horizon (holds must be eventually released for the run to be legal).
-  post_edge(end, /*hold=*/false);
 }
 
 }  // namespace rr::harness

@@ -13,46 +13,15 @@
 //
 // Combined with Byzantine objects this approximates the strongest adversary
 // the model admits: lying objects plus scheduler-controlled asynchrony.
+//
+// A scenario's own timed faults -- holds, partitions, flaps, gray windows
+// -- are not chaos: they are rows of the fault-primitive table
+// (harness/primitives.hpp), whose edges the sweep computes up front.
 #pragma once
-
-#include <atomic>
-#include <vector>
 
 #include "harness/deployment.hpp"
 
 namespace rr::harness {
-
-/// Orders up-front-posted fault edges on the threaded backend. Timed posts
-/// are not guaranteed to run in `at` order there (Cluster::post's
-/// already-due bypass can overtake an earlier edge still sitting in the
-/// timer heap), and fault edges encode absolute state -- held vs released,
-/// gray vs healthy -- so a stale edge applied after a newer one sticks
-/// forever: a hold overtaken by its own release strands every buffered
-/// message outside the quiescence count and the run reports stuck ops.
-/// Give each edge of one fault an index in schedule order and have its
-/// closure apply only if seal(index) says no newer edge has run yet; a
-/// skipped stale edge degenerates the window, which is a legal schedule.
-/// The DES executes timed posts in order, so every seal succeeds there and
-/// behavior is bit-identical.
-class EdgeSequencer {
- public:
-  /// True if no edge newer than `index` has applied yet; marks `index`
-  /// applied. Edges run serialized (steps of one pid), the atomic only
-  /// spans the cross-thread handoff between steps.
-  bool seal(int index) {
-    int prev = newest_.load(std::memory_order_relaxed);
-    while (prev < index) {
-      if (newest_.compare_exchange_weak(prev, index,
-                                        std::memory_order_acq_rel)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::atomic<int> newest_{-1};
-};
 
 struct ChaosOptions {
   /// Objects whose channels may be held simultaneously. Defaults to the
@@ -70,30 +39,4 @@ struct ChaosOptions {
 
 /// Schedules hold/release waves on `d.backend()`. Call before d.run().
 void inject_chaos(Deployment& d, const ChaosOptions& opts);
-
-/// Flapping channels: a fixed set of objects is periodically isolated
-/// (hold_all) and reconnected (release_all), with seeded jitter on every
-/// edge. Unlike inject_chaos -- which picks random rotating subsets as it
-/// goes -- the whole flap schedule is computed up front from the seed, so a
-/// scenario file replays the exact same edge times and the shrinker can
-/// drop a flap event wholesale.
-struct FlapOptions {
-  std::vector<int> objects;  ///< object indices flapped together
-  /// Times relative to the backend clock at injection time.
-  Time start{0};
-  Time horizon{300'000};  ///< last edge lands before start + horizon
-  Time period{20'000};    ///< one hold + release cycle
-  double duty{0.5};       ///< fraction of each period spent held
-  Time jitter{0};         ///< max forward shift per edge, seeded
-  std::uint64_t seed{1};
-};
-
-/// Schedules the flap edges on `d.backend()`. Call before d.run(). Every
-/// hold is eventually released (a trailing release closes the final cycle),
-/// so runs stay within the model's "messages remain in transit, finitely"
-/// rule as long as the flapped set stays within the budget t. Callers
-/// wanting a deliberate liveness violation may exceed the budget; this
-/// function does not assert.
-void inject_flap(Deployment& d, const FlapOptions& opts);
-
 }  // namespace rr::harness

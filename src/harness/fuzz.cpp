@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
 #include "common/rng.hpp"
+#include "harness/primitives.hpp"
 
 namespace rr::harness {
 namespace {
@@ -14,37 +16,6 @@ namespace {
 /// The (t, b) budget pool a batch samples. (1, 0) exercises the crash-only
 /// corner; (2, 2) pushes fastwrite to S = 2t+2b+1 = 9 objects.
 constexpr std::pair<int, int> kBudgets[] = {{1, 0}, {1, 1}, {2, 1}, {2, 2}};
-
-/// `k` distinct object indices out of [0, n), seeded (partial
-/// Fisher-Yates over the identity permutation).
-std::vector<int> distinct_objects(Rng& rng, int n, int k) {
-  std::vector<int> pool(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) pool[static_cast<std::size_t>(i)] = i;
-  for (int i = 0; i < k; ++i) {
-    const auto j = i + static_cast<int>(rng.index(
-                           static_cast<std::size_t>(n - i)));
-    std::swap(pool[static_cast<std::size_t>(i)],
-              pool[static_cast<std::size_t>(j)]);
-  }
-  pool.resize(static_cast<std::size_t>(k));
-  return pool;
-}
-
-/// Extra (non-budget) fault shapes the generator draws from. Loss is
-/// deliberately absent: it violates the reliable-channel assumption and
-/// stalls operations, so it has no place in an expect-ok cell.
-enum class Extra {
-  Hold,
-  PartitionIn,
-  PartitionOut,
-  Flap,
-  Gray,
-  GrayClient,
-  Skew,
-  SkewClient,
-  Reorder,
-  Dup,
-};
 
 }  // namespace
 
@@ -84,6 +55,7 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
   s.shards = rng.chance(0.2) ? 2 : 1;
   const Resilience res =
       protocol_traits(s.protocol).resilience_for(s.t, s.b, s.readers);
+  FuzzDraw draw{rng, res, s.backend};
 
   // Workload mix. writes >= 3 and write_gap >= 5000 guarantee an operation
   // is invoked after the last overload crash (pinned below 9000), so an
@@ -128,8 +100,7 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
     // t+1 timed crashes: every protocol waits on S - t live objects, so
     // one crash past the budget makes quorums permanently unreachable.
     const int n = res.t + 1;
-    const auto objs = distinct_objects(rng, res.num_objects, n);
-    for (const int o : objs) {
+    for (const int o : draw.objects(n)) {
       FaultEvent ev;
       ev.kind = FaultEvent::Kind::Crash;
       ev.object = o;
@@ -147,7 +118,7 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
                 : 0;
   const int crash_n = static_cast<int>(
       rng.uniform(0, static_cast<std::uint64_t>(res.t - byz_n)));
-  const auto faulty = distinct_objects(rng, res.num_objects, byz_n + crash_n);
+  const auto faulty = draw.objects(byz_n + crash_n);
   for (int i = 0; i < byz_n; ++i) {
     FaultEvent ev;
     ev.kind = FaultEvent::Kind::Byzantine;
@@ -164,110 +135,22 @@ Scenario ScenarioFuzzer::generate(std::uint64_t index) const {
     s.events.push_back(std::move(ev));
   }
 
-  // Asynchrony extras: bounded windows only (holds and flaps release, gray
-  // recovers or merely slows), so liveness is preserved by construction.
-  const auto held_subset = [&rng, &res]() {
-    const int sz = 1 + static_cast<int>(rng.index(
-                           std::min(res.num_objects, 2)));
-    return distinct_objects(rng, res.num_objects, sz);
-  };
-  const auto window = [&rng](FaultEvent* ev, Time start_max, Time dur_lo,
-                             Time dur_hi) {
-    ev->at = rng.uniform(0, start_max);
-    ev->duration = rng.uniform(dur_lo, dur_hi);
-  };
-  const auto client_target = [&rng, &res](FaultEvent* ev) {
-    if (rng.chance(0.5)) {
-      ev->role = Role::Writer;
-      ev->object = 0;
-    } else {
-      ev->role = Role::Reader;
-      ev->object = static_cast<int>(rng.index(
-          static_cast<std::size_t>(res.num_readers)));
-    }
-  };
-
+  // Asynchrony extras, drawn from the table's rows that have a fuzz draw,
+  // run on this backend, and are not a once-per-scenario rule already used.
   const int extras = static_cast<int>(rng.uniform(0, 3));
-  bool reorder_used = false;
-  bool dup_used = false;
   for (int i = 0; i < extras; ++i) {
-    std::vector<Extra> pool{Extra::Hold, Extra::PartitionIn,
-                            Extra::PartitionOut, Extra::Flap, Extra::Gray,
-                            Extra::GrayClient};
-    if (s.backend == BackendKind::Sim) {
-      pool.push_back(Extra::Skew);
-      pool.push_back(Extra::SkewClient);
-    }
-    if (!reorder_used) pool.push_back(Extra::Reorder);
-    if (!dup_used) pool.push_back(Extra::Dup);
-
-    FaultEvent ev;
-    switch (pool[rng.index(pool.size())]) {
-      case Extra::Hold:
-        ev.kind = FaultEvent::Kind::Hold;
-        ev.held = held_subset();
-        window(&ev, 20'000, 2'000, 12'000);
-        break;
-      case Extra::PartitionIn:
-      case Extra::PartitionOut:
-        // Drawn as two pool entries so both directions carry equal weight;
-        // re-decide the direction here to keep the switch simple.
-        ev.kind = rng.chance(0.5) ? FaultEvent::Kind::PartitionIn
-                                  : FaultEvent::Kind::PartitionOut;
-        ev.held = held_subset();
-        window(&ev, 20'000, 2'000, 12'000);
-        break;
-      case Extra::Flap:
-        ev.kind = FaultEvent::Kind::Flap;
-        ev.held = held_subset();
-        window(&ev, 15'000, 4'000, 16'000);
-        ev.period = rng.uniform(1'000, 4'000);
-        ev.rate = static_cast<double>(rng.uniform(3, 7)) / 10.0;
-        ev.jitter = rng.uniform(0, 300);
-        break;
-      case Extra::Gray:
-      case Extra::GrayClient: {
-        ev.kind = FaultEvent::Kind::Gray;
-        // Re-draw the target shape: object 60%, client 40%.
-        if (rng.chance(0.6)) {
-          ev.object = static_cast<int>(rng.index(
-              static_cast<std::size_t>(res.num_objects)));
-        } else {
-          client_target(&ev);
-        }
-        ev.rate = static_cast<double>(rng.uniform(2, 6));
-        ev.at = rng.uniform(0, 15'000);
-        // Open-ended gray is legal (slow is still alive) but only worth
-        // the wall-clock risk on the DES.
-        ev.duration = s.backend == BackendKind::Sim && rng.chance(0.25)
-                          ? 0
-                          : rng.uniform(3'000, 15'000);
-        break;
+    std::vector<const Primitive*> pool;
+    for (const auto& p : primitives()) {
+      const auto same = [&p](const FaultEvent& e) { return e.kind == p.kind; };
+      if (p.draw != nullptr && supports(p, s.backend) &&
+          !(p.once && std::any_of(s.events.begin(), s.events.end(), same))) {
+        pool.push_back(&p);
       }
-      case Extra::Skew:
-      case Extra::SkewClient:
-        ev.kind = FaultEvent::Kind::Skew;
-        if (rng.chance(0.5)) {
-          ev.object = static_cast<int>(rng.index(
-              static_cast<std::size_t>(res.num_objects)));
-        } else {
-          client_target(&ev);
-        }
-        ev.skew = static_cast<std::int64_t>(rng.uniform(0, 10'000)) - 5'000;
-        break;
-      case Extra::Reorder:
-        ev.kind = FaultEvent::Kind::Reorder;
-        ev.rate = static_cast<double>(rng.uniform(5, 25)) / 100.0;
-        ev.period = rng.uniform(500, 2'500);
-        if (rng.chance(0.5)) ev.held = held_subset();
-        reorder_used = true;
-        break;
-      case Extra::Dup:
-        ev.kind = FaultEvent::Kind::Duplicate;
-        ev.rate = static_cast<double>(rng.uniform(5, 20)) / 100.0;
-        dup_used = true;
-        break;
     }
+    const Primitive& p = *pool[rng.index(pool.size())];
+    FaultEvent ev;
+    ev.kind = p.kind;
+    p.draw(draw, ev);
     s.events.push_back(std::move(ev));
   }
   return s;
@@ -329,58 +212,11 @@ FuzzResult run_fuzz(const FuzzOptions& opts, int workers) {
 // Coverage accounting
 // ---------------------------------------------------------------------------
 
-std::string primitive_name(const FaultEvent& ev) {
-  switch (ev.kind) {
-    case FaultEvent::Kind::Byzantine:
-      return "byz";
-    case FaultEvent::Kind::Crash:
-      return "crash";
-    case FaultEvent::Kind::Hold:
-      return "hold";
-    case FaultEvent::Kind::PartitionIn:
-      return "partition-in";
-    case FaultEvent::Kind::PartitionOut:
-      return "partition-out";
-    case FaultEvent::Kind::Flap:
-      return "flap";
-    case FaultEvent::Kind::Gray:
-      return ev.role == Role::Object ? "gray" : "gray-client";
-    case FaultEvent::Kind::Skew:
-      return ev.role == Role::Object ? "skew" : "skew-client";
-    case FaultEvent::Kind::Loss:
-      return "loss";
-    case FaultEvent::Kind::Duplicate:
-      return "dup";
-    case FaultEvent::Kind::Reorder:
-      return "reorder";
-  }
-  return "?";
-}
-
-const std::vector<std::string>& all_primitives() {
-  static const std::vector<std::string> kAll{
-      "crash", "byz",         "hold",        "partition-in", "partition-out",
-      "flap",  "gray",        "gray-client", "skew",         "skew-client",
-      "reorder", "dup", "loss",
-  };
-  return kAll;
-}
-
-const std::vector<std::string>& model_legal_primitives() {
-  // all_primitives() minus the reliable-channel violations (dup, loss).
-  static const std::vector<std::string> kLegal{
-      "crash", "byz",         "hold", "partition-in", "partition-out",
-      "flap",  "gray",        "gray-client", "skew", "skew-client",
-      "reorder",
-  };
-  return kLegal;
-}
-
 void CoverageMatrix::add(const Scenario& s) {
   ++scenarios_seen;
   budgets.insert({s.t, s.b});
   const std::string proto = protocol_traits(s.protocol).cli_name;
-  for (const auto& ev : s.events) ++counts[primitive_name(ev)][proto];
+  for (const auto& ev : s.events) ++counts[primitive_of(ev).label][proto];
 }
 
 void CoverageMatrix::add_all(const std::vector<Scenario>& scenarios) {
@@ -393,12 +229,12 @@ std::vector<std::string> CoverageMatrix::missing() const {
     // A protocol whose recipe clamps b to 0 (ABD is crash-only) can never
     // legally host a Byzantine object, so the gate skips that cell.
     const bool byz_legal = traits.resilience_for(2, 1, 2).b > 0;
-    for (const auto& prim : model_legal_primitives()) {
-      if (prim == "byz" && !byz_legal) continue;
-      const auto pit = counts.find(prim);
+    for (const auto& p : primitives()) {
+      if (!p.model_legal || (p.budget == Budget::B && !byz_legal)) continue;
+      const auto pit = counts.find(p.label);
       const bool seen = pit != counts.end() &&
                         pit->second.find(traits.cli_name) != pit->second.end();
-      if (!seen) out.push_back(prim + " x " + traits.cli_name);
+      if (!seen) out.push_back(std::string(p.label) + " x " + traits.cli_name);
     }
   }
   return out;
@@ -409,13 +245,15 @@ std::string CoverageMatrix::table() const {
   const auto& registry = protocol_registry();
 
   std::size_t prim_w = 0;
-  for (const auto& p : all_primitives()) prim_w = std::max(prim_w, p.size());
+  for (const auto& p : primitives()) {
+    prim_w = std::max(prim_w, std::string_view(p.label).size());
+  }
 
   out << std::string(prim_w, ' ');
   for (const auto& t : registry) out << "  " << t.cli_name;
   out << '\n';
-  const auto legal = model_legal_primitives();
-  for (const auto& prim : all_primitives()) {
+  for (const auto& p : primitives()) {
+    const std::string prim = p.label;
     out << prim << std::string(prim_w - prim.size(), ' ');
     for (const auto& t : registry) {
       const std::size_t col_w = std::string(t.cli_name).size();
@@ -425,9 +263,7 @@ std::string CoverageMatrix::table() const {
         const auto cit = pit->second.find(t.cli_name);
         if (cit != pit->second.end()) cell = std::to_string(cit->second);
       }
-      const bool is_legal =
-          std::find(legal.begin(), legal.end(), prim) != legal.end();
-      if (cell == "0") cell = is_legal ? "-" : ".";
+      if (cell == "0") cell = p.model_legal ? "-" : ".";
       out << "  " << std::string(col_w - std::min(col_w, cell.size()), ' ')
           << cell;
     }

@@ -4,13 +4,14 @@
 // paper's adversary space -- up to t faulty base objects, up to b of them
 // Byzantine, plus scheduler-controlled asynchrony -- at a handful of
 // human-chosen points. ScenarioFuzzer, the one scenario generator, turns
-// that into an open-ended search: it generates
-// well-formed Scenario structs whose fault schedules are composed from the
-// model-legal primitive set (crash / byz / hold / partition / flap / gray /
-// skew / benign link chaos) and respect the declared (t, b) budget *by
-// construction*, so every generated cell must pass -- any failure is a
-// protocol or harness bug, and it feeds the existing ddmin shrinker and is
-// emitted as a committed-ready .scn fixture automatically.
+// that into an open-ended search: it generates well-formed Scenario structs
+// that respect the declared (t, b) budget *by construction* -- at most b
+// Byzantine objects, crashes on distinct objects so that Byzantine plus
+// crashed stays within t -- plus up to three extras drawn from the rows of
+// the fault-primitive table (harness/primitives.hpp) that have a fuzz draw
+// and run on the cell's backend. So every generated cell must pass -- any
+// failure is a protocol or harness bug, and it feeds the existing ddmin
+// shrinker and is emitted as a committed-ready .scn fixture automatically.
 //
 // Determinism contract: generate(i) is a pure function of (options().seed,
 // i). No wall clock, no global state; the same (seed, count) yields the
@@ -26,9 +27,9 @@
 //
 // CoverageMatrix is the accountant behind `sweep_cli --coverage`: it folds
 // scenario sets (the committed library, the fixtures, a fuzz batch) into a
-// primitive x protocol count table and names the model-legal cells nothing
-// exercises (tests/test_coverage.cpp pins that the committed library leaves
-// none).
+// primitive x protocol count table (one row per row of the primitive
+// table) and names the model-legal cells nothing exercises
+// (tests/test_coverage.cpp pins that the committed library leaves none).
 #pragma once
 
 #include <cstdint>
@@ -108,20 +109,6 @@ struct FuzzResult {
 /// cells), and writes fixtures for unexpected failures into
 /// opts.fixture_dir.
 [[nodiscard]] FuzzResult run_fuzz(const FuzzOptions& opts, int workers = 0);
-
-/// The canonical primitive label of one fault event. Client-role gray/skew
-/// count as their own primitives ("gray-client", "skew-client"): clients
-/// are the other half of the model's timing clause, and a library that only
-/// ever slows base objects has not exercised them.
-[[nodiscard]] std::string primitive_name(const FaultEvent& ev);
-
-/// Every primitive label, table order.
-[[nodiscard]] const std::vector<std::string>& all_primitives();
-
-/// The primitives inside the paper's fault model (everything except `loss`
-/// and `dup`, which violate the reliable-channel assumption) -- the set the
-/// coverage gate requires per protocol.
-[[nodiscard]] const std::vector<std::string>& model_legal_primitives();
 
 /// Primitive x protocol x budget accountant over scenario sets.
 struct CoverageMatrix {

@@ -6,8 +6,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "harness/primitives.hpp"
 #include "harness/protocol.hpp"
 
 namespace rr::harness {
@@ -193,28 +195,147 @@ bool valid_name(const std::string& name) {
   return true;
 }
 
-/// Resolves the shared at=/dur=/from=/to= window keys (from/to are
-/// synonyms: from == at, to == at + dur). Returns an error string or "".
-std::string parse_window(const KvArgs& kv, Time* at, Time* dur) {
-  const auto* at_v = kv.find("at");
-  const auto* from_v = kv.find("from");
-  const auto* dur_v = kv.find("dur");
-  const auto* to_v = kv.find("to");
-  if (at_v != nullptr && from_v != nullptr) return "both at= and from= given";
-  if (dur_v != nullptr && to_v != nullptr) return "both dur= and to= given";
-  const auto* start = at_v != nullptr ? at_v : from_v;
-  if (start != nullptr && !parse_time(*start, at)) {
-    return "bad time '" + *start + "'";
+std::string parse_obj(const std::string& v, int* out) {
+  return parse_int(v, out) && *out >= 0 ? "" : "bad obj";
+}
+
+/// obj=N, or role=writer | role=reader [idx=J]: the client processes read
+/// clocks too, so the per-process kinds can address them (role=reader
+/// defaults to reader 0).
+std::string parse_target(const KvArgs& kv, FaultEvent* ev) {
+  const auto* obj = kv.find("obj");
+  const auto* role = kv.find("role");
+  const auto* idx = kv.find("idx");
+  if (obj != nullptr && role != nullptr) return "both obj= and role= given";
+  if (role == nullptr) {
+    if (idx != nullptr) return "idx= needs role=reader";
+    return obj == nullptr ? "missing obj=" : parse_obj(*obj, &ev->object);
   }
-  if (dur_v != nullptr && !parse_time(*dur_v, dur)) {
-    return "bad time '" + *dur_v + "'";
+  if (*role == "writer") {
+    ev->role = Role::Writer;
+    return idx == nullptr ? "" : "role=writer takes no idx=";
   }
-  if (to_v != nullptr) {
-    Time end = 0;
-    if (!parse_time(*to_v, &end)) return "bad time '" + *to_v + "'";
-    if (end < *at) return "to= before the window start";
-    *dur = end - *at;
+  if (*role != "reader") {
+    return "unknown role '" + *role + "' (want writer|reader)";
   }
+  ev->role = Role::Reader;
+  if (idx != nullptr && (!parse_int(*idx, &ev->object) || ev->object < 0)) {
+    return "bad idx";
+  }
+  return "";
+}
+
+/// Reads key `k` of a fault line into `ev`. Returns an error or "".
+std::string parse_key(const PrimitiveKey& k, const KvArgs& kv,
+                      FaultEvent* ev) {
+  const std::string name = k.name;
+  const std::string* v = kv.find(name);
+  const auto bad = [&name](const std::string& text) {
+    return "bad " + name + " '" + text + "'";
+  };
+  double value = 0;  // what the range check sees
+  if (const auto field = time_field(k.type)) {
+    // The window keys' synonyms: from= for at=, to= (meaning to - at) for
+    // dur=.
+    const char* alias = k.type == KeyType::Start    ? "from"
+                        : k.type == KeyType::Length ? "to"
+                                                    : "";
+    const auto* alt = kv.find(alias);
+    if (v != nullptr && alt != nullptr) {
+      return "both " + name + "= and " + alias + "= given";
+    }
+    if (v != nullptr && !parse_time(*v, &(ev->*field))) return bad(*v);
+    if (alt != nullptr) {
+      Time t = 0;
+      if (!parse_time(*alt, &t)) return bad(*alt);
+      if (k.type == KeyType::Length && t < ev->at) {
+        return "to= before the window start";
+      }
+      ev->*field = k.type == KeyType::Length ? t - ev->at : t;
+      v = alt;
+    }
+    value = static_cast<double>(ev->*field);
+  }
+  switch (k.type) {
+    case KeyType::Target:
+      return parse_target(kv, ev);
+    case KeyType::Object:
+      if (v != nullptr) {
+        if (auto err = parse_obj(*v, &ev->object); !err.empty()) return err;
+      }
+      break;
+    case KeyType::Objects:
+      if (v != nullptr && !parse_objs(*v, &ev->held)) return bad(*v);
+      break;
+    case KeyType::Strategy:
+      if (v != nullptr) {
+        const auto strategy = adversary::strategy_from_name(*v);
+        if (!strategy) return "unknown strategy '" + *v + "'";
+        ev->strategy = *strategy;
+      }
+      break;
+    case KeyType::Tag:
+      if (v != nullptr && *v != k.tag) {
+        return "bad " + name + " '" + *v + "' (want " + k.want + ")";
+      }
+      break;
+    case KeyType::Rate:
+      if (v != nullptr && !parse_rate(*v, &ev->rate)) return bad(*v);
+      value = ev->rate;
+      break;
+    case KeyType::Offset:
+      if (v != nullptr && !parse_offset(*v, &ev->skew)) return bad(*v);
+      break;
+    default:
+      break;  // a time, read above
+  }
+  if (v == nullptr) {
+    if (!k.required) return "";
+    return k.want == nullptr ? "missing " + name + "="
+                             : "missing " + name + "= (want " + k.want + ")";
+  }
+  if (k.valid != nullptr && !k.valid(value)) {
+    return "bad " + name + " (want " + k.want + ")";
+  }
+  return "";
+}
+
+/// One `fault <word> key=value...` line through its primitive's table row.
+/// Returns an error or "".
+std::string parse_fault(const std::string& word, const KvArgs& kv,
+                        BackendKind backend, FaultEvent* ev) {
+  // Twin rows share a word; their Tag keys pick one. A line whose tag
+  // matches no twin goes to the first, whose Tag key reports it.
+  const Primitive* row = nullptr;
+  for (const auto& p : primitives()) {
+    if (word != p.word) continue;
+    const bool tags_match = std::all_of(
+        p.keys.begin(), p.keys.end(), [&kv](const PrimitiveKey& k) {
+          const auto* v = kv.find(k.name);
+          return k.type != KeyType::Tag || (v != nullptr && *v == k.tag);
+        });
+    if (row == nullptr || tags_match) row = &p;
+    if (tags_match) break;
+  }
+  if (row == nullptr) return "unknown fault kind '" + word + "'";
+  if (!supports(*row, backend)) {
+    return "fault " + word + " runs only on the des backend";
+  }
+  for (const auto& [key, value] : kv.pairs) {
+    const bool known = std::any_of(
+        row->keys.begin(), row->keys.end(), [&key](const PrimitiveKey& k) {
+          return key == k.name ||
+                 (k.type == KeyType::Start && key == "from") ||
+                 (k.type == KeyType::Length && key == "to") ||
+                 (k.type == KeyType::Target && (key == "role" || key == "idx"));
+        });
+    if (!known) return "unknown key '" + key + "'";
+  }
+  ev->kind = row->kind;
+  for (const auto& k : row->keys) {
+    if (auto err = parse_key(k, kv, ev); !err.empty()) return err;
+  }
+  *ev = with_defaults(*ev);
   return "";
 }
 
@@ -421,192 +542,14 @@ ScenarioParseResult parse_scenario(std::string_view text) {
       }
     } else if (directive == "fault") {
       if (tokens.size() < 2) return fail(line_no, "want: fault <kind> ...");
-      const std::string& kind = tokens[1];
       const KvArgs kv(tokens, 2);
       if (!kv.bad.empty()) {
         return fail(line_no, "stray token '" + kv.bad + "'");
       }
       FaultEvent ev;
-      const auto need_obj = [&]() -> std::string {
-        const auto* v = kv.find("obj");
-        if (v == nullptr) return "missing obj=";
-        if (!parse_int(*v, &ev.object) || ev.object < 0) return "bad obj";
-        return "";
-      };
-      /// gray/skew accept either obj=N or role=writer|reader [idx=J]: the
-      /// client processes read clocks too, so the per-process fault kinds
-      /// can address them (role=reader defaults to reader 0).
-      const auto need_target = [&]() -> std::string {
-        const auto* obj = kv.find("obj");
-        const auto* role = kv.find("role");
-        if (obj != nullptr && role != nullptr) {
-          return "both obj= and role= given";
-        }
-        if (role == nullptr) {
-          if (kv.find("idx") != nullptr) return "idx= needs role=reader";
-          return need_obj();
-        }
-        if (*role == "writer") {
-          ev.role = Role::Writer;
-          if (kv.find("idx") != nullptr) return "role=writer takes no idx=";
-        } else if (*role == "reader") {
-          ev.role = Role::Reader;
-          if (const auto* idx = kv.find("idx")) {
-            if (!parse_int(*idx, &ev.object) || ev.object < 0) {
-              return "bad idx";
-            }
-          }
-        } else {
-          return "unknown role '" + *role + "' (want writer|reader)";
-        }
-        return "";
-      };
-      const auto need_objs = [&]() -> std::string {
-        const auto* v = kv.find("objs");
-        if (v == nullptr) return "missing objs=";
-        if (!parse_objs(*v, &ev.held)) return "bad objs";
-        return "";
-      };
-      const auto scope_objs = [&]() -> std::string {
-        if (const auto* v = kv.find("objs")) {
-          std::vector<int> objs;
-          if (!parse_objs(*v, &objs) && *v != "all") return "bad objs";
-          ev.held = std::move(objs);
-        }
-        return "";
-      };
-      std::string err;
-      if (kind == "crash") {
-        if (const auto k = kv.unknown_key({"obj", "at", "from"}); !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = FaultEvent::Kind::Crash;
-        if (err = need_obj(); !err.empty()) return fail(line_no, err);
-        Time dur = 0;
-        if (err = parse_window(kv, &ev.at, &dur); !err.empty()) {
-          return fail(line_no, err);
-        }
-      } else if (kind == "byz") {
-        if (const auto k = kv.unknown_key({"obj", "strategy"}); !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = FaultEvent::Kind::Byzantine;
-        if (err = need_obj(); !err.empty()) return fail(line_no, err);
-        if (const auto* v = kv.find("strategy")) {
-          const auto strategy = adversary::strategy_from_name(*v);
-          if (!strategy) {
-            return fail(line_no, "unknown strategy '" + *v + "'");
-          }
-          ev.strategy = *strategy;
-        }
-      } else if (kind == "hold" || kind == "partition") {
-        if (const auto k = kv.unknown_key(
-                {"objs", "dir", "at", "from", "dur", "to"});
-            !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = FaultEvent::Kind::Hold;
-        if (kind == "partition") {
-          const auto* v = kv.find("dir");
-          if (v == nullptr || (*v != "in" && *v != "out")) {
-            return fail(line_no, "partition needs dir=in|out");
-          }
-          ev.kind = *v == "in" ? FaultEvent::Kind::PartitionIn
-                               : FaultEvent::Kind::PartitionOut;
-        } else if (kv.find("dir") != nullptr) {
-          return fail(line_no, "unknown key 'dir'");
-        }
-        if (err = need_objs(); !err.empty()) return fail(line_no, err);
-        if (err = parse_window(kv, &ev.at, &ev.duration); !err.empty()) {
-          return fail(line_no, err);
-        }
-        if (ev.duration == 0) {
-          return fail(line_no, "a hold window needs dur= or to= (holds must "
-                               "be released)");
-        }
-      } else if (kind == "flap") {
-        if (const auto k = kv.unknown_key({"objs", "at", "from", "dur", "to",
-                                           "period", "duty", "jitter"});
-            !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = FaultEvent::Kind::Flap;
-        if (err = need_objs(); !err.empty()) return fail(line_no, err);
-        if (err = parse_window(kv, &ev.at, &ev.duration); !err.empty()) {
-          return fail(line_no, err);
-        }
-        if (ev.duration == 0) ev.duration = 300'000;
-        ev.period = 20'000;
-        if (const auto* v = kv.find("period")) {
-          if (!parse_time(*v, &ev.period) || ev.period == 0) {
-            return fail(line_no, "bad period");
-          }
-        }
-        ev.rate = 0.5;
-        if (const auto* v = kv.find("duty")) {
-          if (!parse_rate(*v, &ev.rate) || ev.rate <= 0 || ev.rate >= 1) {
-            return fail(line_no, "bad duty (want a fraction in (0, 1))");
-          }
-        }
-        if (const auto* v = kv.find("jitter")) {
-          if (!parse_time(*v, &ev.jitter)) return fail(line_no, "bad jitter");
-        }
-      } else if (kind == "gray") {
-        if (const auto k = kv.unknown_key({"obj", "role", "idx", "slow", "at",
-                                           "from", "dur", "to"});
-            !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = FaultEvent::Kind::Gray;
-        if (err = need_target(); !err.empty()) return fail(line_no, err);
-        const auto* v = kv.find("slow");
-        if (v == nullptr || !parse_rate(*v, &ev.rate) || ev.rate <= 1.0) {
-          return fail(line_no, "gray needs slow=FACTORx with factor > 1");
-        }
-        if (err = parse_window(kv, &ev.at, &ev.duration); !err.empty()) {
-          return fail(line_no, err);
-        }
-      } else if (kind == "skew") {
-        if (const auto k = kv.unknown_key({"obj", "role", "idx", "offset"});
-            !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = FaultEvent::Kind::Skew;
-        if (err = need_target(); !err.empty()) return fail(line_no, err);
-        const auto* v = kv.find("offset");
-        if (v == nullptr || !parse_offset(*v, &ev.skew)) {
-          return fail(line_no, "skew needs offset=[-]TIME");
-        }
-      } else if (kind == "loss" || kind == "dup" || kind == "reorder") {
-        if (const auto k = kv.unknown_key(
-                {"p", "objs", "at", "from", "dur", "to", "delay"});
-            !k.empty()) {
-          return fail(line_no, "unknown key '" + k + "'");
-        }
-        ev.kind = kind == "loss"    ? FaultEvent::Kind::Loss
-                  : kind == "dup"   ? FaultEvent::Kind::Duplicate
-                                    : FaultEvent::Kind::Reorder;
-        const auto* v = kv.find("p");
-        if (v == nullptr || !parse_rate(*v, &ev.rate) || ev.rate <= 0 ||
-            ev.rate > 1) {
-          return fail(line_no, kind + " needs p=PROB in (0, 1]");
-        }
-        if (err = scope_objs(); !err.empty()) return fail(line_no, err);
-        if (err = parse_window(kv, &ev.at, &ev.duration); !err.empty()) {
-          return fail(line_no, err);
-        }
-        if (kind == "reorder") {
-          ev.period = 20'000;
-          if (const auto* d = kv.find("delay")) {
-            if (!parse_time(*d, &ev.period) || ev.period == 0) {
-              return fail(line_no, "bad delay");
-            }
-          }
-        } else if (kv.find("delay") != nullptr) {
-          return fail(line_no, "unknown key 'delay'");
-        }
-      } else {
-        return fail(line_no, "unknown fault kind '" + kind + "'");
+      if (const auto err = parse_fault(tokens[1], kv, s.backend, &ev);
+          !err.empty()) {
+        return fail(line_no, err);
       }
       s.events.push_back(std::move(ev));
       event_lines.push_back(line_no);
@@ -626,69 +569,42 @@ ScenarioParseResult parse_scenario(std::string_view text) {
   const Resilience res =
       protocol_traits(s.protocol).resilience_for(s.t, s.b, s.readers);
   int byz_count = 0;
-  int link_rules[3] = {0, 0, 0};
+  std::map<const Primitive*, int> uses;
   for (std::size_t i = 0; i < s.events.size(); ++i) {
     const auto& ev = s.events[i];
     const int ev_line = event_lines[i];
-    const auto check_obj = [&](int o) {
-      return o >= 0 && o < res.num_objects;
-    };
-    const auto obj_range_error = [&](int o) {
-      return fail(ev_line, "object " + std::to_string(o) +
+    const Primitive& p = primitive_of(ev);
+    if (p.budget == Budget::B && ++byz_count > res.b) {
+      return fail(ev_line, std::to_string(byz_count) +
+                               " byzantine faults exceed the budget b = " +
+                               std::to_string(res.b));
+    }
+    if (p.once && ++uses[&p] > 1) {
+      return fail(ev_line, std::string("at most one ") + p.word +
+                               " fault per scenario");
+    }
+    // The per-process kinds may address a client role instead of an
+    // object; reader indices live in their own 0..R-1 range.
+    if (ev.role == Role::Reader && ev.object >= res.num_readers) {
+      return fail(ev_line, "reader index " + std::to_string(ev.object) +
                                " out of range (this deployment has " +
-                               std::to_string(res.num_objects) + " objects)");
-    };
-    switch (ev.kind) {
-      case FaultEvent::Kind::Byzantine:
-        ++byz_count;
-        if (byz_count > res.b) {
-          return fail(ev_line, std::to_string(byz_count) +
-                                   " byzantine faults exceed the budget b = " +
-                                   std::to_string(res.b));
-        }
-        [[fallthrough]];
-      case FaultEvent::Kind::Crash:
-        if (!check_obj(ev.object)) return obj_range_error(ev.object);
-        break;
-      case FaultEvent::Kind::Gray:
-      case FaultEvent::Kind::Skew:
-        // The per-process kinds may address a client role instead of an
-        // object; reader indices live in their own 0..R-1 range.
-        if (ev.role == Role::Reader && ev.object >= res.num_readers) {
-          return fail(ev_line, "reader index " + std::to_string(ev.object) +
-                                   " out of range (this deployment has " +
-                                   std::to_string(res.num_readers) +
-                                   " readers)");
-        }
-        if (ev.role == Role::Object && !check_obj(ev.object)) {
-          return obj_range_error(ev.object);
-        }
-        break;
-      case FaultEvent::Kind::Hold:
-      case FaultEvent::Kind::PartitionIn:
-      case FaultEvent::Kind::PartitionOut:
-      case FaultEvent::Kind::Flap:
-      case FaultEvent::Kind::Loss:
-      case FaultEvent::Kind::Duplicate:
-      case FaultEvent::Kind::Reorder:
-        for (const int o : ev.held) {
-          if (!check_obj(o)) return obj_range_error(o);
-        }
-        if (ev.kind == FaultEvent::Kind::Loss ||
-            ev.kind == FaultEvent::Kind::Duplicate ||
-            ev.kind == FaultEvent::Kind::Reorder) {
-          const int slot = ev.kind == FaultEvent::Kind::Loss        ? 0
-                           : ev.kind == FaultEvent::Kind::Duplicate ? 1
-                                                                    : 2;
-          if (++link_rules[slot] > 1) {
-            return fail(ev_line, std::string("at most one ") +
-                                     (slot == 0   ? "loss"
-                                      : slot == 1 ? "dup"
-                                                  : "reorder") +
-                                     " fault per scenario");
-          }
-        }
-        break;
+                               std::to_string(res.num_readers) + " readers)");
+    }
+    std::vector<int> objs;  // the base objects the event names
+    for (const auto& k : p.keys) {
+      if (k.type == KeyType::Objects) objs = ev.held;
+      if (k.type == KeyType::Object ||
+          (k.type == KeyType::Target && ev.role == Role::Object)) {
+        objs = {ev.object};
+      }
+    }
+    for (const int o : objs) {
+      if (o < 0 || o >= res.num_objects) {
+        return fail(ev_line, "object " + std::to_string(o) +
+                                 " out of range (this deployment has " +
+                                 std::to_string(res.num_objects) +
+                                 " objects)");
+      }
     }
   }
   result.ok = true;
@@ -711,7 +627,7 @@ std::string emit_objs(const std::vector<int>& v) {
   return o;
 }
 
-/// Gray/Skew target as it appears in the DSL: `obj=N` for base objects,
+/// A gray/skew target as it appears in the DSL: `obj=N` for base objects,
 /// `role=writer` / `role=reader idx=J` for client processes.
 std::string emit_target(const FaultEvent& ev) {
   switch (ev.role) {
@@ -727,54 +643,48 @@ std::string emit_target(const FaultEvent& ev) {
 
 }  // namespace
 
-std::string emit_fault(const FaultEvent& ev) {
-  const auto t = emit_time;
-  const auto objs = emit_objs;
-  switch (ev.kind) {
-    case FaultEvent::Kind::Crash:
-      return "fault crash obj=" + std::to_string(ev.object) + " at=" + t(ev.at);
-    case FaultEvent::Kind::Byzantine:
-      return "fault byz obj=" + std::to_string(ev.object) +
-             " strategy=" + adversary::to_string(ev.strategy);
-    case FaultEvent::Kind::Hold:
-      return "fault hold objs=" + objs(ev.held) + " at=" + t(ev.at) +
-             " dur=" + t(ev.duration);
-    case FaultEvent::Kind::PartitionIn:
-    case FaultEvent::Kind::PartitionOut:
-      return "fault partition objs=" + objs(ev.held) + " dir=" +
-             (ev.kind == FaultEvent::Kind::PartitionIn ? "in" : "out") +
-             " at=" + t(ev.at) + " dur=" + t(ev.duration);
-    case FaultEvent::Kind::Flap:
-      return "fault flap objs=" + objs(ev.held) + " at=" + t(ev.at) +
-             " dur=" + t(ev.duration) + " period=" + t(ev.period) +
-             " duty=" + fmt_double(ev.rate) + " jitter=" + t(ev.jitter);
-    case FaultEvent::Kind::Gray: {
-      std::string l = "fault gray " + emit_target(ev) +
-                      " slow=" + fmt_double(ev.rate) + " at=" + t(ev.at);
-      if (ev.duration != 0) l += " dur=" + t(ev.duration);
-      return l;
+std::string emit_fault(const FaultEvent& event) {
+  const FaultEvent ev = with_defaults(event);
+  const Primitive& p = primitive_of(ev);
+  std::string line = std::string("fault ") + p.word;
+  for (const auto& k : p.keys) {
+    std::string v;
+    bool unset = false;
+    if (const auto field = time_field(k.type)) {
+      v = emit_time(ev.*field);
+      unset = ev.*field == 0;
     }
-    case FaultEvent::Kind::Skew:
-      return "fault skew " + emit_target(ev) +
-             " offset=" + std::to_string(static_cast<long long>(ev.skew));
-    case FaultEvent::Kind::Loss:
-    case FaultEvent::Kind::Duplicate:
-    case FaultEvent::Kind::Reorder: {
-      std::string l = "fault ";
-      l += ev.kind == FaultEvent::Kind::Loss        ? "loss"
-           : ev.kind == FaultEvent::Kind::Duplicate ? "dup"
-                                                    : "reorder";
-      l += " p=" + fmt_double(ev.rate);
-      if (ev.kind == FaultEvent::Kind::Reorder) {
-        l += " delay=" + t(ev.period);
-      }
-      if (!ev.held.empty()) l += " objs=" + objs(ev.held);
-      if (ev.at != 0) l += " at=" + t(ev.at);
-      if (ev.duration != 0) l += " dur=" + t(ev.duration);
-      return l;
+    switch (k.type) {
+      case KeyType::Target:
+        line += " " + emit_target(ev);
+        continue;
+      case KeyType::Object:
+        v = std::to_string(ev.object);
+        break;
+      case KeyType::Objects:
+        v = emit_objs(ev.held);
+        unset = ev.held.empty();
+        break;
+      case KeyType::Strategy:
+        v = adversary::to_string(ev.strategy);
+        break;
+      case KeyType::Tag:
+        v = k.tag;
+        break;
+      case KeyType::Rate:
+        v = fmt_double(ev.rate);
+        unset = ev.rate == 0;
+        break;
+      case KeyType::Offset:
+        v = std::to_string(static_cast<long long>(ev.skew));
+        unset = ev.skew == 0;
+        break;
+      default:
+        break;  // a time, written above
     }
+    if (!unset || k.emit_unset) line += " " + std::string(k.name) + "=" + v;
   }
-  return "fault ?";
+  return line;
 }
 
 std::string emit_scenario(const Scenario& s) {

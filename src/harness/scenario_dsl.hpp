@@ -21,9 +21,10 @@
 // (tests/test_scenario_dsl.cpp pins the round-trip property).
 //
 // `runseed` is required: it is the scenario's one seed, so a file replays
-// on its own. The full grammar, the fault-primitive reference, and which
-// primitives step outside the paper's reliable-channel model live in
-// docs/SCENARIO_DSL.md. Scenario files enter a sweep as SweepEngine cells
+// on its own. `fault` lines are read and written through the rows of the
+// fault-primitive table (harness/primitives.hpp). The full grammar, the
+// fault-primitive reference, and which primitives step outside the
+// paper's reliable-channel model live in docs/SCENARIO_DSL.md. Scenario files enter a sweep as SweepEngine cells
 // (sweep_cli --scenarios DIR); the shrinker emits its minimal failing
 // schedules in this format (sweep_cli --emit-scenario) so they can be
 // committed as regression fixtures.
@@ -46,9 +47,10 @@ struct ScenarioParseResult {
   std::string error;
 };
 
-/// Parses one scenario from DSL text. Defaults are resolved here (e.g. a
-/// flap without period= gets the canonical 20'000 ns), so emitting the
-/// result reproduces every effective value explicitly.
+/// Parses one scenario from DSL text. Defaults are resolved here (a fault
+/// key missing from its line takes its fallback from the fault-primitive
+/// table, harness/primitives.hpp), so emitting the result reproduces every
+/// effective value explicitly.
 [[nodiscard]] ScenarioParseResult parse_scenario(std::string_view text);
 
 /// Emits the canonical DSL text for a scenario: every effective field

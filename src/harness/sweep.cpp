@@ -11,8 +11,8 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "harness/chaos.hpp"
 #include "harness/deployment.hpp"
+#include "harness/primitives.hpp"
 #include "harness/scenario_dsl.hpp"
 #include "harness/workload.hpp"
 #include "sim/world.hpp"
@@ -50,6 +50,77 @@ std::string json_escape(const std::string& in) {
   return out;
 }
 
+/// Orders up-front-posted fault edges on the threaded backend. Timed posts
+/// are not guaranteed to run in `at` order there (Cluster::post's
+/// already-due bypass can overtake an earlier edge still sitting in the
+/// timer heap), and fault edges encode absolute state -- held vs released,
+/// gray vs healthy -- so a stale edge applied after a newer one sticks
+/// forever: a hold overtaken by its own release strands every buffered
+/// message outside the quiescence count and the run reports stuck ops.
+/// Give each edge of one fault an index in schedule order and have its
+/// closure apply only if seal(index) says no newer edge has run yet; a
+/// skipped stale edge degenerates the window, which is a legal schedule.
+/// The DES executes timed posts in order, so every seal succeeds there and
+/// behavior is bit-identical.
+class EdgeSequencer {
+ public:
+  /// True if no edge newer than `index` has applied yet; marks `index`
+  /// applied. Edges run serialized (steps of one pid), the atomic only
+  /// spans the cross-thread handoff between steps.
+  bool seal(int index) {
+    int prev = newest_.load(std::memory_order_relaxed);
+    while (prev < index) {
+      if (newest_.compare_exchange_weak(prev, index,
+                                        std::memory_order_acq_rel)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::atomic<int> newest_{-1};
+};
+
+/// Applies the post-construction part of one event: its edges, each posted
+/// as a step of the shard-0 writer (purely for scheduling; they only touch
+/// fault state), or, for a row without edges, its effect at once.
+void inject(const FaultEvent& ev, Deployment& d, std::uint64_t seed) {
+  const Primitive& p = primitive_of(ev);
+  if (p.apply == nullptr) return;
+  // Targets: the objects of an objs= list, else one object or the role's
+  // client on every shard (the writer, or reader `object` of each shard).
+  std::vector<ProcessId> pids;
+  const bool by_objs = std::any_of(
+      p.keys.begin(), p.keys.end(),
+      [](const PrimitiveKey& k) { return k.type == KeyType::Objects; });
+  if (by_objs) {
+    for (const int o : ev.held) pids.push_back(d.object_pid(o));
+  } else if (ev.role == Role::Object) {
+    pids.push_back(d.object_pid(ev.object));
+  } else {
+    for (int sh = 0; sh < d.shards(); ++sh) {
+      pids.push_back(ev.role == Role::Writer ? d.writer_pid(sh)
+                                             : d.reader_pid(sh, ev.object));
+    }
+  }
+  Backend& backend = d.backend();
+  if (p.edges == nullptr) {
+    for (const ProcessId pid : pids) p.apply(backend, pid, ev, true);
+    return;
+  }
+  auto order = std::make_shared<EdgeSequencer>();
+  int index = 0;
+  for (const auto& [at, on] : p.edges(ev, backend.now(), seed)) {
+    backend.post(at, d.writer_pid(),
+                 [&backend, apply = p.apply, ev, pids, on = on, order,
+                  edge = index++](net::Context&) {
+                   if (!order->seal(edge)) return;
+                   for (const ProcessId pid : pids) apply(backend, pid, ev, on);
+                 });
+  }
+}
+
 }  // namespace
 
 SweepEngine::SweepEngine(std::vector<Scenario> scenarios)
@@ -78,188 +149,13 @@ CellVerdict SweepEngine::run_cell(const Scenario& s) {
   opts.checker_semantics = s.check_override;
   opts.link_faults.seed = fold(opts.seed, 0x11f5ULL);
   for (const auto& ev : s.events) {
-    switch (ev.kind) {
-      case FaultEvent::Kind::Byzantine:
-        opts.faults.byzantine[ev.object] = ev.strategy;
-        break;
-      case FaultEvent::Kind::Skew:
-        // Client-role skew resolves against the layout, which does not
-        // exist yet; it is installed right after construction below.
-        if (ev.role == Role::Object) opts.clock_skew[ev.object] = ev.skew;
-        break;
-      case FaultEvent::Kind::Loss:
-      case FaultEvent::Kind::Duplicate:
-      case FaultEvent::Kind::Reorder: {
-        net::LinkFaultRule rule;
-        rule.p = ev.rate;
-        rule.from = ev.at;
-        rule.until = ev.duration > 0 ? ev.at + ev.duration : 0;
-        rule.pids.reserve(ev.held.size());
-        // Object indices here; Deployment::build() rewrites them to pids.
-        for (const int o : ev.held) {
-          rule.pids.push_back(static_cast<ProcessId>(o));
-        }
-        if (ev.kind == FaultEvent::Kind::Loss) {
-          opts.link_faults.loss = std::move(rule);
-        } else if (ev.kind == FaultEvent::Kind::Duplicate) {
-          opts.link_faults.duplicate = std::move(rule);
-        } else {
-          opts.link_faults.reorder = std::move(rule);
-          if (ev.period > 0) opts.link_faults.reorder_delay = ev.period;
-        }
-        break;
-      }
-      default:
-        break;  // scheduled after construction below
-    }
+    const Primitive& p = primitive_of(ev);
+    if (p.configure != nullptr) p.configure(with_defaults(ev), opts);
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   Deployment d(opts);
-  Backend& backend = d.backend();
-  // Resolves a gray/skew target to physical pids: one object, or the role's
-  // client on every shard (the writer, or reader `object` of each shard).
-  const auto target_pids = [&d, &s](const FaultEvent& ev) {
-    std::vector<ProcessId> pids;
-    switch (ev.role) {
-      case Role::Object:
-        pids.push_back(d.object_pid(ev.object));
-        break;
-      case Role::Writer:
-        for (int sh = 0; sh < s.shards; ++sh) pids.push_back(d.writer_pid(sh));
-        break;
-      case Role::Reader:
-        for (int sh = 0; sh < s.shards; ++sh) {
-          pids.push_back(d.reader_pid(sh, ev.object));
-        }
-        break;
-    }
-    return pids;
-  };
-  for (const auto& ev : s.events) {
-    switch (ev.kind) {
-      case FaultEvent::Kind::Skew:
-        // Object skew was applied at construction; client-role skew is a
-        // property of the pid, installed before any event runs.
-        if (ev.role != Role::Object) {
-          for (const ProcessId pid : target_pids(ev)) {
-            backend.set_clock_skew(pid, ev.skew);
-          }
-        }
-        break;
-      case FaultEvent::Kind::Byzantine:
-      case FaultEvent::Kind::Loss:
-      case FaultEvent::Kind::Duplicate:
-      case FaultEvent::Kind::Reorder:
-        break;  // applied at construction
-      case FaultEvent::Kind::Crash: {
-        const ProcessId pid = d.object_pid(ev.object);
-        backend.post(ev.at, d.writer_pid(),
-                     [&backend, pid](net::Context&) { backend.crash(pid); });
-        break;
-      }
-      case FaultEvent::Kind::Hold: {
-        // Hold and release are scheduled up front as two timed steps of the
-        // shard-0 writer (purely for scheduling; they only touch channel
-        // state), exactly like harness::inject_chaos waves.
-        std::vector<ProcessId> pids;
-        pids.reserve(ev.held.size());
-        for (const int o : ev.held) pids.push_back(d.object_pid(o));
-        // Sequenced (EdgeSequencer): on the threaded backend the release
-        // can run before the hold; a hold applied after its own release
-        // would strand channels forever.
-        auto order = std::make_shared<EdgeSequencer>();
-        backend.post(ev.at, d.writer_pid(),
-                     [&backend, pids, order](net::Context&) {
-                       if (!order->seal(0)) return;
-                       for (const ProcessId p : pids) backend.hold_all(p);
-                     });
-        backend.post(ev.at + ev.duration, d.writer_pid(),
-                     [&backend, pids = std::move(pids),
-                      order](net::Context&) {
-                       order->seal(1);
-                       for (const ProcessId p : pids) backend.release_all(p);
-                     });
-        break;
-      }
-      case FaultEvent::Kind::PartitionIn:
-      case FaultEvent::Kind::PartitionOut: {
-        // Asymmetric partition: hold only one direction of every channel
-        // adjacent to the named objects, then release at window end.
-        std::vector<ProcessId> pids;
-        pids.reserve(ev.held.size());
-        for (const int o : ev.held) pids.push_back(d.object_pid(o));
-        const bool inbound = ev.kind == FaultEvent::Kind::PartitionIn;
-        const int n = backend.num_processes();
-        const auto each = [pids, inbound, n](auto&& f) {
-          for (const ProcessId p : pids) {
-            for (ProcessId q = 0; q < n; ++q) {
-              if (q == p) continue;
-              if (inbound) {
-                f(q, p);
-              } else {
-                f(p, q);
-              }
-            }
-          }
-        };
-        auto order = std::make_shared<EdgeSequencer>();
-        backend.post(ev.at, d.writer_pid(),
-                     [&backend, each, order](net::Context&) {
-                       if (!order->seal(0)) return;
-                       each([&backend](ProcessId a, ProcessId b) {
-                         backend.hold(a, b);
-                       });
-                     });
-        backend.post(ev.at + ev.duration, d.writer_pid(),
-                     [&backend, each, order](net::Context&) {
-                       order->seal(1);
-                       each([&backend](ProcessId a, ProcessId b) {
-                         backend.release(a, b);
-                       });
-                     });
-        break;
-      }
-      case FaultEvent::Kind::Flap: {
-        FlapOptions fo;
-        fo.objects = ev.held;
-        fo.start = ev.at;
-        fo.horizon = ev.duration > 0 ? ev.duration : 300'000;
-        fo.period = ev.period > 0 ? ev.period : 20'000;
-        fo.duty = ev.rate > 0 ? ev.rate : 0.5;
-        fo.jitter = ev.jitter;
-        // Seeded from the deployment seed plus the event's own shape, so
-        // two flap events in one scenario draw distinct jitter streams.
-        fo.seed = fold(fold(opts.seed, ev.at), ev.period);
-        inject_flap(d, fo);
-        break;
-      }
-      case FaultEvent::Kind::Gray: {
-        const std::vector<ProcessId> pids = target_pids(ev);
-        const double factor = ev.rate;
-        // Sequenced like Hold: a gray-on edge applied after its own
-        // gray-off would slow the target for the rest of the run.
-        auto order = std::make_shared<EdgeSequencer>();
-        backend.post(ev.at, d.writer_pid(),
-                     [&backend, pids, factor, order](net::Context&) {
-                       if (!order->seal(0)) return;
-                       for (const ProcessId p : pids) {
-                         backend.set_gray(p, factor);
-                       }
-                     });
-        if (ev.duration > 0) {
-          backend.post(ev.at + ev.duration, d.writer_pid(),
-                       [&backend, pids, order](net::Context&) {
-                         order->seal(1);
-                         for (const ProcessId p : pids) {
-                           backend.set_gray(p, 1.0);
-                         }
-                       });
-        }
-        break;
-      }
-    }
-  }
+  for (const auto& ev : s.events) inject(with_defaults(ev), d, opts.seed);
 
   std::unique_ptr<OpenLoopEngine> engine;
   if (s.arrival != ArrivalKind::Closed) {
@@ -326,9 +222,10 @@ CellVerdict SweepEngine::run_cell(const Scenario& s) {
     v.hist_peak_live = std::max(v.hist_peak_live, wstats.peak_live);
     v.hist_retired += wstats.retired;
   }
-  v.ok = report.ok() && v.ops_stuck == 0 && !backend.timed_out();
+  const bool timed_out = d.backend().timed_out();
+  v.ok = report.ok() && v.ops_stuck == 0 && !timed_out;
   if (v.first_violation.empty() && !v.ok) {
-    if (backend.timed_out()) {
+    if (timed_out) {
       v.first_violation = "liveness: run exceeded the " +
                           std::to_string(s.max_wall_ms) +
                           " ms deadline with " + std::to_string(v.ops_stuck) +
@@ -508,7 +405,7 @@ SweepReport SweepEngine::run(int workers) const {
 }
 
 bool SweepEngine::write_json(const SweepReport& report,
-                             const std::string& path) {
+                             const std::string& path) const {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"bench\": \"scenario_sweep\",\n");
@@ -543,7 +440,8 @@ bool SweepEngine::write_json(const SweepReport& report,
   std::fprintf(out, "  ],\n  \"failures\": [\n");
   std::size_t emitted = 0;
   const std::size_t failures = static_cast<std::size_t>(report.failed);
-  for (const auto& c : report.cells) {
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    const auto& c = report.cells[i];
     if (c.ok == c.expect_ok) continue;
     const ShrinkResult* shrink = nullptr;
     for (const auto& sr : report.shrinks) {
@@ -555,20 +453,17 @@ bool SweepEngine::write_json(const SweepReport& report,
     if (shrink != nullptr) {
       std::fprintf(out,
                    ", \"shrink\": {\"original_events\": %d, "
-                   "\"minimal_events\": %zu, \"reruns\": %d, "
-                   "\"schedule\": [",
+                   "\"minimal_events\": %zu, \"reruns\": %d}",
                    shrink->original_events, shrink->minimal.events.size(),
                    shrink->reruns);
-      const auto& events = shrink->minimal.events;
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        std::fprintf(out, "%s\"%s\"", i > 0 ? ", " : "",
-                     json_escape(emit_fault(events[i])).c_str());
-      }
-      std::fprintf(out, "], \"replay\": \"--replay %s\"}",
-                   shrink->name.c_str());
     }
-    ++emitted;
-    std::fprintf(out, "}%s\n", emitted < failures ? "," : "");
+    // The (shrunk) scenario as DSL text: saved as a file, it replays with
+    // sweep_cli --scenario FILE, whatever flags produced the sweep.
+    const Scenario& failing =
+        shrink != nullptr ? shrink->minimal : scenarios_[i];
+    std::fprintf(out, ", \"scenario\": \"%s\"}%s\n",
+                 json_escape(emit_scenario(failing)).c_str(),
+                 ++emitted < failures ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -10,12 +10,16 @@
 // fingerprint).
 //
 // A Scenario is fully explicit: protocol, backend, budget, workload, fault
-// events and one deployment seed (`run_seed`). Running it depends on
-// nothing else, never on worker count or execution order, so any cell -- in
-// particular any *failing* cell -- replays by its name (sweep_cli --replay
-// NAME). DES cells replay bit-identically (same fingerprint); threads and
-// net cells replay the same schedule under genuine wall-clock
-// nondeterminism.
+// events and one deployment seed (`run_seed`). Each fault event applies
+// through its row of the fault-primitive table (harness/primitives.hpp):
+// into the DeploymentOptions at construction, or as timed edges posted on
+// the Backend before the run. Running a scenario depends on nothing else,
+// never on worker count or execution order, so any cell -- in particular
+// any *failing* cell -- replays by its name (sweep_cli --replay NAME), and
+// the JSON report carries each unexpected failure's scenario as DSL text
+// that replays on its own. DES cells replay bit-identically (same
+// fingerprint); threads and net cells replay the same schedule under
+// genuine wall-clock nondeterminism.
 //
 // When a cell fails, the engine re-runs it under a ddmin fault-plan
 // shrinker (Zeller's delta debugging over the event list: try chunks, then
@@ -45,23 +49,23 @@
 namespace rr::harness {
 
 /// One discrete, independently droppable fault of a scenario's schedule.
-/// The shrinker works at this granularity; emit_fault()
-/// (harness/scenario_dsl.hpp) prints one as its DSL `fault` line.
+/// The shrinker works at this granularity. Kind and role pick the event's
+/// row of the fault-primitive table (harness/primitives.hpp), which names
+/// the fields that kind uses; emit_fault() (harness/scenario_dsl.hpp)
+/// prints the event as its DSL `fault` line.
 struct FaultEvent {
   enum class Kind {
-    Byzantine,  ///< impostor object from construction time
-    Crash,      ///< object crashes at `at`
-    Hold,       ///< channels of `held` objects held during [at, at+duration)
-    PartitionIn,   ///< only channels *into* `held` objects are held
-    PartitionOut,  ///< only channels *out of* `held` objects are held
-    Flap,       ///< `held` objects flap: period `period`, duty `rate`,
-                ///< seeded edge jitter `jitter`, during [at, at+duration)
-    Gray,       ///< object slow-but-alive by factor `rate` during the window
-    Skew,       ///< object's local clock shifted by `skew` (DES only)
-    Loss,       ///< seeded message loss, probability `rate` (scope `held`)
-    Duplicate,  ///< seeded message duplication, probability `rate`
-    Reorder,    ///< seeded reordering: +`period` delay with probability
-                ///< `rate`
+    Byzantine,
+    Crash,
+    Hold,
+    PartitionIn,
+    PartitionOut,
+    Flap,
+    Gray,
+    Skew,
+    Loss,
+    Duplicate,
+    Reorder,
   };
 
   Kind kind{Kind::Crash};
@@ -224,10 +228,11 @@ class SweepEngine {
   /// vary between executions.
   [[nodiscard]] SweepReport run(int workers = 0) const;
 
-  /// Writes BENCH_scenario_sweep-style JSON: one row per cell, and for
-  /// each unexpected verdict its shrunk schedule as DSL `fault` lines.
-  /// Returns false on I/O error.
-  static bool write_json(const SweepReport& report, const std::string& path);
+  /// Writes BENCH_scenario_sweep-style JSON for `report`, a report of this
+  /// engine's run(): one row per cell, and for each unexpected verdict the
+  /// scenario as DSL text (the shrunk one when the engine shrank it), which
+  /// replays on its own as a .scn file. Returns false on I/O error.
+  bool write_json(const SweepReport& report, const std::string& path) const;
 
  private:
   std::vector<Scenario> scenarios_;

@@ -10,9 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -20,23 +18,7 @@
 #include "harness/workload.hpp"
 #include "net/process.hpp"
 #include "runtime/cluster.hpp"
-
-// Global allocation counter: replaced operator new lets the steady-state
-// test below assert that delivering a burst performs zero heap allocations.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_alloc.hpp"
 
 namespace rr::runtime {
 namespace {
@@ -93,10 +75,10 @@ TEST(ClusterMailbox, SteadyStateDeliveryIsAllocationFree) {
   drain();
   burst();
   drain();
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs();
   burst();
   drain();
-  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  const std::uint64_t allocs = test::heap_allocs() - before;
   EXPECT_EQ(allocs, 0u)
       << "mailbox delivery hot path must not allocate at steady state";
   EXPECT_EQ(c.stats().messages_delivered, 3u * kBurst);

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -132,6 +133,89 @@ TEST(Fuzz, GenerationIsDeterministicPerSeed) {
   opts.seed = 43;
   const ScenarioFuzzer c(opts);
   EXPECT_NE(a.batch(), c.batch());
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
+
+// The fuzzer's draw stream, pinned: the emitted text of every batch CI
+// generates (and of the 10k round-trip batch above) hashes to the value
+// recorded before the fault-primitive table replaced the hand-written
+// draws. Any change to what a seed generates -- a reordered draw, a new
+// pool entry, a different default -- changes the hash. A deliberate change
+// re-records these values and says why.
+TEST(Fuzz, CiBatchesKeepTheirText) {
+  struct Batch {
+    const char* what;
+    std::uint64_t seed;
+    int count;
+    double overload;
+    std::vector<Protocol> protocols;
+    std::vector<BackendKind> backends;
+    std::uint64_t hash;
+  };
+  const Batch kBatches[] = {
+      {"seed=1 count=1008 --protocols=safe,regular,abd", 1, 1008, 0.0,
+       {Protocol::Safe, Protocol::Regular, Protocol::Abd}, {},
+       0x622c656ee59104f6ULL},
+      {"seed=8 count=50 overload=0.1", 8, 50, 0.1, {}, {},
+       0xafcd6fa94a25d92fULL},
+      {"seed=1 count=24 --protocols=safe,abd --backends=net", 1, 24, 0.0,
+       {Protocol::Safe, Protocol::Abd}, {BackendKind::Net},
+       0x44cde68fc3a5d2e4ULL},
+      {"seed=1 count=192 --protocols=safe,auth", 1, 192, 0.0,
+       {Protocol::Safe, Protocol::Auth}, {}, 0xb04079101abd240cULL},
+      {"seed=0xfeed count=10000 overload=0.1", 0xfeed, 10'000, 0.1, {}, {},
+       0x1e6783100a19361aULL},
+  };
+  for (const auto& b : kBatches) {
+    SCOPED_TRACE(b.what);
+    FuzzOptions opts;
+    opts.seed = b.seed;
+    opts.count = b.count;
+    opts.overload_rate = b.overload;
+    opts.protocols = b.protocols;
+    opts.backends = b.backends;
+    std::uint64_t h = kFnvSeed;
+    for (const auto& s : ScenarioFuzzer(opts).batch()) {
+      h = fnv1a(h, emit_scenario(s));
+    }
+    EXPECT_EQ(h, b.hash) << std::hex << "0x" << h;
+  }
+}
+
+// The fuzzer's outcomes, pinned the same way: a 400-cell DES batch over
+// all seven protocols folds every cell's name, verdict and DES fingerprint
+// into one value. Its schedules use every primitive but `loss`, which
+// ScenarioDsl.CommittedFilesKeepTheirFingerprints pins through
+// lossy-links.scn, so together they guard how each primitive applies.
+TEST(Fuzz, DesBatchKeepsItsVerdictsAndFingerprints) {
+  FuzzOptions opts;
+  opts.seed = 1;
+  opts.count = 400;
+  opts.overload_rate = 0.1;
+  opts.backends = {BackendKind::Sim};
+  const auto batch = ScenarioFuzzer(opts).batch();
+  CoverageMatrix matrix;
+  matrix.add_all(batch);
+  EXPECT_EQ(matrix.counts.size(), 12u);
+  EXPECT_EQ(matrix.counts.count("loss"), 0u);
+
+  const SweepReport report = SweepEngine(batch).run(4);
+  EXPECT_EQ(report.failed, 0);
+  std::uint64_t h = kFnvSeed;
+  for (const auto& c : report.cells) {
+    h = fnv1a(h, c.name + (c.ok ? " ok " : " fail ") +
+                     std::to_string(c.fingerprint) + "\n");
+  }
+  EXPECT_EQ(h, 0x42f1bf258e4a1bffULL) << std::hex << "0x" << h;
 }
 
 // Full-run determinism across worker counts: same seed and count yield

@@ -8,11 +8,8 @@
 // suffixes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "adversary/capture.hpp"
 #include "core/regular_reader.hpp"
@@ -21,24 +18,7 @@
 #include "objects/regular_object.hpp"
 #include "sim/delay.hpp"
 #include "sim/world.hpp"
-
-// Global allocation counter for the steady-state write-path test below
-// (same pattern as test_world_pool.cpp): every heap allocation in this
-// binary bumps the counter, so a measured window can assert zero.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_alloc.hpp"
 
 namespace rr {
 namespace {
@@ -351,9 +331,9 @@ TEST(HistoryGc, SteadyStateWritePathIsAllocationFree) {
   ASSERT_EQ(obj_raw->state().ts, 300u);
   burst(w.now() + 100, 301, 200);
   ASSERT_TRUE(w.step());  // execute the posting closure (sends reuse slots)
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs();
   w.run();
-  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  const std::uint64_t allocs = test::heap_allocs() - before;
   EXPECT_EQ(allocs, 0u)
       << "steady-state PW/W handling and acks must not allocate";
   EXPECT_EQ(obj_raw->state().ts, 500u);

@@ -6,8 +6,8 @@
 //     naming a not-yet-invoked write) pins the window;
 //   - the streaming verdict agrees with the batch checkers on randomized
 //     adversarial histories, with tiny windows forcing aggressive eviction;
-//   - the steady-state client loop allocates nothing (counting global
-//     operator new in this binary);
+//   - the steady-state client loop allocates nothing (every operator new in
+//     this binary is counted: tests/support/counting_alloc.cpp);
 //   - open-loop DES cells are deterministic and keep checker residency
 //     O(window), and the arrival shapes match their documented envelopes.
 #include "harness/workload.hpp"
@@ -15,10 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -26,33 +23,7 @@
 #include "common/rng.hpp"
 #include "harness/scenario_dsl.hpp"
 #include "harness/sweep.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting global operator new. This override is visible to the whole test
-// binary (each tests/*.cpp builds its own executable), so the zero-alloc pin
-// below measures the real allocation behavior of the hot paths, not a mock.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-// Replacement allocation functions legitimately pair malloc with free; GCC
-// cannot know that and flags the pairing as mismatched.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "support/counting_alloc.hpp"
 
 namespace rr::harness {
 namespace {
@@ -294,7 +265,7 @@ TEST(LoadEngine, SteadyStateClientPathsDoNotAllocate) {
   ring.pop(at, client);
   sojourn.record(17);
 
-  const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::heap_allocs();
   for (int i = 0; i < 100'000; ++i) {
     now += sampler.next(now);
     (void)ring.push(now, static_cast<std::uint32_t>(i));
@@ -302,7 +273,7 @@ TEST(LoadEngine, SteadyStateClientPathsDoNotAllocate) {
     sojourn.record(now > at ? now - at : 1);
   }
   while (!ring.empty()) ring.pop(at, client);
-  const std::uint64_t after = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::heap_allocs();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations in the steady-state loop";
 }

@@ -8,9 +8,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "harness/primitives.hpp"
 #include "harness/sweep.hpp"
 
 namespace rr::harness {
@@ -187,6 +191,27 @@ TEST(ScenarioDsl, SugarLowersToCanonicalForm) {
   EXPECT_EQ(again.scenario, s);
 }
 
+// Each default is written once, in the fault-primitive table, and applies
+// the same to a parsed line and to an event built in code with the field
+// left 0: same text, same run.
+TEST(ScenarioDsl, DefaultsApplyToEventsBuiltInCode) {
+  const auto parsed = parse_scenario(
+      "scenario regular des name=defaults\n"
+      "runseed 5\n"
+      "fault flap objs=0 at=10us jitter=1us\n"
+      "fault reorder p=0.3\n");
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  Scenario built = parsed.scenario;
+  built.events[0].duration = 0;  // flap window, period and duty
+  built.events[0].period = 0;
+  built.events[0].rate = 0;
+  built.events[1].period = 0;  // reorder delay
+  ASSERT_NE(built, parsed.scenario);
+  EXPECT_EQ(emit_scenario(built), emit_scenario(parsed.scenario));
+  EXPECT_EQ(SweepEngine::run_cell(built).fingerprint,
+            SweepEngine::run_cell(parsed.scenario).fingerprint);
+}
+
 TEST(ScenarioDsl, HistoryDirectiveRoundTrips) {
   const auto parsed = parse_scenario(
       "scenario regular des name=hist\n"
@@ -304,6 +329,10 @@ TEST(ScenarioDsl, MalformedInputIsARejectionNotAnAbort) {
       "workload arrival=poisson write_frac=1.5\n",
       "scenario safe des\nrunseed 1\n"           // zero population
       "workload arrival=poisson clients=0\n",
+      "scenario safe threads\nrunseed 1\n"       // skew is DES-only
+      "fault skew obj=0 offset=-4000\n",
+      "scenario safe net\nrunseed 1\n"           // skew is DES-only
+      "fault skew role=writer offset=100\n",
   };
   for (const char* text : cases) {
     SCOPED_TRACE(text);
@@ -323,6 +352,49 @@ TEST(ScenarioDsl, MalformedInputIsARejectionNotAnAbort) {
   ASSERT_FALSE(no_seed.ok);
   EXPECT_NE(no_seed.error.find("line 1: missing runseed"), std::string::npos)
       << no_seed.error;
+  // A fault the backend cannot apply is refused on its own line, not run
+  // without it.
+  const auto skew = parse_scenario(
+      "scenario regular threads\nrunseed 1\nfault skew obj=0 offset=-4000\n");
+  ASSERT_FALSE(skew.ok);
+  EXPECT_NE(skew.error.find("line 3: fault skew"), std::string::npos)
+      << skew.error;
+}
+
+// docs/SCENARIO_DSL.md's primitive table stays in step with the code's:
+// every DSL word has a `fault <word>` row naming each of its keys, and the
+// doc has no `fault` row the code lacks.
+TEST(ScenarioDsl, DocTableMatchesPrimitiveTable) {
+  std::ifstream doc(std::string(RR_SOURCE_DIR) + "/docs/SCENARIO_DSL.md");
+  ASSERT_TRUE(doc.good());
+  std::map<std::string, std::string> rows;  // word -> its table line
+  const std::string open = "| `fault ";
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind(open, 0) != 0) continue;
+    const auto end = line.find('`', open.size());
+    ASSERT_NE(end, std::string::npos) << line;
+    rows[line.substr(open.size(), end - open.size())] = line;
+  }
+  std::set<std::string> words;
+  for (const auto& p : primitives()) {
+    SCOPED_TRACE(p.label);
+    words.insert(p.word);
+    ASSERT_EQ(rows.count(p.word), 1u) << "no | `fault " << p.word << "` | row";
+    std::vector<std::string> names;
+    for (const auto& k : p.keys) {
+      names.emplace_back(k.name);
+      if (k.type == KeyType::Target) names.insert(names.end(), {"role", "idx"});
+    }
+    for (const auto& name : names) {
+      EXPECT_NE(rows[p.word].find("`" + name + "`"), std::string::npos)
+          << "the `fault " << p.word << "` row does not name `" << name
+          << "`";
+    }
+  }
+  for (const auto& [word, line] : rows) {
+    EXPECT_EQ(words.count(word), 1u) << "doc row without a table row: "
+                                     << line;
+  }
 }
 
 // Scenarios resolve by name through the engine (the name defaults to the

@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/fuzz.hpp"
+#include "harness/scenario_dsl.hpp"
 #include "harness/sweep.hpp"
 
 namespace rr::harness {
@@ -225,18 +228,70 @@ TEST(Sweep, SemanticsOverrideViolationShrinksAndReplays) {
   EXPECT_EQ(again.fingerprint, failed.fingerprint);
 }
 
+/// The JSON string values that follow each `"key": ` in `json`, unescaped.
+std::vector<std::string> json_strings(const std::string& json,
+                                      const std::string& key) {
+  std::vector<std::string> out;
+  const std::string open = "\"" + key + "\": \"";
+  for (auto at = json.find(open); at != std::string::npos;
+       at = json.find(open, at)) {
+    std::string value;
+    for (at += open.size(); json[at] != '"'; ++at) {
+      if (json[at] == '\\') {
+        ++at;
+        value += json[at] == 'n' ? '\n' : json[at];
+      } else {
+        value += json[at];
+      }
+    }
+    out.push_back(std::move(value));
+  }
+  return out;
+}
+
+// Every unexpected verdict in the JSON carries its scenario as DSL text,
+// which replays on its own: the shrunk scenario when the engine shrank it
+// (here: a safe protocol checked as atomic), the cell itself when it did
+// not (here: a passing cell marked expect-fail).
 TEST(Sweep, JsonReportIsWritten) {
-  const SweepEngine engine(small_des_batch(4));
-  const SweepReport report = engine.run(1);
+  FuzzOptions opts;
+  opts.seed = 3;
+  opts.count = 30;
+  opts.protocols = {Protocol::Safe};
+  opts.backends = {BackendKind::Sim};
+  opts.check_override = Semantics::Atomic;
+  std::vector<Scenario> cells = ScenarioFuzzer(opts).batch();
+  Scenario passes = small_des_batch(4)[3];
+  passes.expect_ok = false;
+  cells.push_back(passes);
+  const SweepEngine engine(std::move(cells));
+  const SweepReport report = engine.run(2);
+  ASSERT_GE(report.failed, 2);
+  ASSERT_FALSE(report.shrinks.empty());
+
   const std::string path = ::testing::TempDir() + "sweep_report.json";
-  ASSERT_TRUE(SweepEngine::write_json(report, path));
+  ASSERT_TRUE(engine.write_json(report, path));
   FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
-  std::string text(4096, '\0');
+  std::string text(1 << 20, '\0');
   text.resize(std::fread(text.data(), 1, text.size(), f));
   std::fclose(f);
   EXPECT_NE(text.find("scenario_sweep"), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"fuzz-4-3\""), std::string::npos) << text;
+
+  const auto scenarios = json_strings(text, "scenario");
+  ASSERT_EQ(scenarios.size(), static_cast<std::size_t>(report.failed));
+  std::set<std::string> names;
+  for (const auto& scn : scenarios) {
+    const auto parsed = parse_scenario(scn);
+    ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << scn;
+    SCOPED_TRACE(parsed.scenario.name);
+    names.insert(parsed.scenario.name);
+    const CellVerdict v = SweepEngine::run_cell(parsed.scenario);
+    EXPECT_NE(v.ok, parsed.scenario.expect_ok) << "does not reproduce";
+  }
+  EXPECT_EQ(names.count("fuzz-4-3"), 1u);
+  EXPECT_EQ(names.count(report.shrinks.front().name), 1u);
 }
 
 }  // namespace

@@ -7,10 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -19,23 +16,7 @@
 #include "net/process.hpp"
 #include "sim/world.hpp"
 #include "wire/codec.hpp"
-
-// Global allocation counter: replaced operator new lets the steady-state
-// test below assert that delivering events performs zero heap allocations.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_alloc.hpp"
 
 namespace rr::sim {
 namespace {
@@ -342,9 +323,9 @@ TEST(EventPool, SteadyStateDeliveryIsAllocationFree) {
   w.run();  // warm-up: grows the slab, the heap array and the free list
   burst(w.now() + 100);
   ASSERT_TRUE(w.step());  // execute the posting closure (sends reuse slots)
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs();
   const std::uint64_t delivered = w.run();
-  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  const std::uint64_t allocs = test::heap_allocs() - before;
   EXPECT_EQ(delivered, 1000u);
   EXPECT_EQ(allocs, 0u)
       << "delivery hot path must not allocate at steady state";
@@ -374,12 +355,12 @@ TEST(EventPool, SteadyStatePostedClosuresAreAllocationFree) {
   // never grow during the measured window.
   for (int i = 0; i < 1100; ++i) make_post(static_cast<Time>(i));
   w.run();
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs();
   for (int i = 0; i < 1000; ++i) {
     make_post(w.now() + 1 + static_cast<Time>(i));
   }
   w.run();
-  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  const std::uint64_t allocs = test::heap_allocs() - before;
   EXPECT_EQ(allocs, 0u)
       << "posting and running small closures must not allocate at steady "
          "state";
