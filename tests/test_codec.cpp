@@ -335,6 +335,93 @@ TEST(CodecTest, EncodedSizeOfDegenerateShapes) {
 }
 
 // ---------------------------------------------------------------------------
+// Tuple equality property: over random pairs from the generator above --
+// ragged, empty and nil rows included -- two tuples are equal exactly when
+// their encodings are. Pairs are drawn so that about half are equal:
+// copies, copies of the same rows, and one-edit mutations of either part.
+// ---------------------------------------------------------------------------
+
+std::string encode_tuple(const WTuple& t) {
+  return encode(Message{ReadAckMsg{1, 0, TsVal{}, t}});
+}
+
+/// `rows` with one small edit: a row toggled nil, an entry changed, an
+/// entry appended, or a row added or dropped.
+TsrArray mutate(TsrArray rows, Rng& rng) {
+  const std::size_t i = rows.empty() ? 0 : rng.index(rows.size());
+  switch (rng.index(4)) {
+    case 0:
+      if (!rows.empty()) {
+        rows[i] = rows[i] ? std::nullopt : std::optional<TsrRow>(TsrRow{});
+        return rows;
+      }
+      break;
+    case 1:
+      if (!rows.empty() && rows[i] && !rows[i]->empty()) {
+        ++(*rows[i])[rng.index(rows[i]->size())];
+        return rows;
+      }
+      break;
+    case 2:
+      if (!rows.empty() && rows[i]) {
+        rows[i]->push_back(rng.uniform(0, 1000));
+        return rows;
+      }
+      break;
+    default:
+      break;
+  }
+  if (!rows.empty() && rng.chance(0.5)) {
+    rows.pop_back();
+  } else {
+    rows.emplace_back(std::nullopt);
+  }
+  return rows;
+}
+
+TEST(CodecTest, TupleEqualityMatchesEncodedBytes) {
+  Rng rng(2006);
+  int equal = 0;
+  constexpr int kPairs = 12'000;
+  for (int iter = 0; iter < kPairs; ++iter) {
+    const TsVal tsval = random_tsval(rng);
+    const TsrArray rows = random_tsrarray(rng);
+    const WTuple a{tsval, rows};
+    WTuple b;
+    switch (rng.index(5)) {
+      case 0:
+        b = a;
+        break;
+      case 1:
+        b = WTuple{tsval, rows};  // same rows, its own copy
+        break;
+      case 2:
+        b = WTuple{tsval, mutate(rows, rng)};
+        break;
+      case 3:
+        b = WTuple{TsVal{tsval.ts + rng.index(2), random_value(rng)},
+                   a.tsrarray};
+        break;
+      default:
+        b = random_wtuple(rng);
+        break;
+    }
+    const bool same_bytes = encode_tuple(a) == encode_tuple(b);
+    ASSERT_EQ(a == b, same_bytes) << "iter " << iter;
+    ASSERT_EQ(b == a, same_bytes) << "iter " << iter;
+    if (a == b) ++equal;
+    // A decoded copy has the same contents.
+    const auto back = decode(encode_tuple(b));
+    ASSERT_TRUE(back.has_value()) << "iter " << iter;
+    const WTuple& c = std::get<ReadAckMsg>(*back).w;
+    ASSERT_EQ(c, b) << "iter " << iter;
+    ASSERT_EQ(c.tsrarray, b.tsrarray) << "iter " << iter;
+  }
+  EXPECT_GT(equal, kPairs / 4);
+  EXPECT_LT(equal, 3 * kPairs / 4);
+}
+
+// ---------------------------------------------------------------------------
 // Adversarial-bytes torture, every variant: the codec faces frames from
 // Byzantine peers via the net backend's framing layer, so each of the 26
 // variants is attacked with randomized payloads x truncation, bit flips,
