@@ -169,9 +169,11 @@ class LegacyWorld {
 // ---------------------------------------------------------------------------
 // Workload: a mesh of echo automata moving a regular-storage-like traffic
 // mix -- mostly small acks, with periodic history-bearing HIST_ACKs and
-// tsrarray-bearing PW messages (the payloads whose deep copies dominate the
-// seed loop). Each message carries a remaining-hop count in its timestamp
-// field; the run drains when all hops are spent.
+// tuple-bearing PW messages. The seed loop deep-copies each event it pops,
+// so every HIST_ACK costs it a fresh slot vector (the tuples inside share
+// their sealed tsrarray blocks, so each costs only a reference count); the
+// pool loop moves them. Each message carries a remaining-hop count in its
+// timestamp field; the run drains when all hops are spent.
 // ---------------------------------------------------------------------------
 
 constexpr int kNumProcs = 10;

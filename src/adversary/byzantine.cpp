@@ -98,19 +98,17 @@ class ByzantineBase : public net::Process {
   /// absurdly high timestamp, arming the conflict predicate against every
   /// object the row mentions.
   [[nodiscard]] WTuple forge_tuple(Ts ts, const Value& val, bool accuse,
-                                   int reader_j) const {
-    WTuple t;
-    t.tsval = TsVal{ts, val};
-    t.tsrarray = init_tsrarray(static_cast<std::size_t>(res_.num_objects));
+                                   int reader_j) {
+    forged_.reset(static_cast<std::size_t>(res_.num_objects));
     for (int i = 0; i < res_.quorum() && i < res_.num_objects; ++i) {
-      TsrRow row(static_cast<std::size_t>(res_.num_readers), 0);
+      const auto row = forged_.set(static_cast<std::size_t>(i),
+                                   static_cast<std::size_t>(res_.num_readers));
       if (accuse && reader_j >= 0 &&
           reader_j < static_cast<int>(row.size())) {
         row[static_cast<std::size_t>(reader_j)] = kAccusation;
       }
-      t.tsrarray[static_cast<std::size_t>(i)] = std::move(row);
     }
-    return t;
+    return WTuple{TsVal{ts, val}, forged_.seal()};
   }
 
   /// Builds the protocol-appropriate forged reply to a read-type request.
@@ -132,9 +130,7 @@ class ByzantineBase : public net::Process {
         wire::HistReadAckMsg ack;
         ack.round = rd->round;
         ack.tsr = rd->tsr;
-        ack.history[0] = wire::HistEntry{
-            TsVal::bottom(),
-            initial_wtuple(static_cast<std::size_t>(res_.num_objects))};
+        ack.history[0] = wire::HistEntry{TsVal::bottom(), w0_};
         ack.history[fake_ts] = wire::HistEntry{fake.tsval, fake};
         outs.push_back(Outgoing{from, std::move(ack)});
       }
@@ -147,9 +143,7 @@ class ByzantineBase : public net::Process {
         wire::HistReadAckMsg ack;
         ack.round = hrd->round;
         ack.tsr = hrd->tsr;
-        ack.history[0] = wire::HistEntry{
-            TsVal::bottom(),
-            initial_wtuple(static_cast<std::size_t>(res_.num_objects))};
+        ack.history[0] = wire::HistEntry{TsVal::bottom(), w0_};
         ack.history[fake_ts] = wire::HistEntry{fake.tsval, fake};
         outs.push_back(Outgoing{from, std::move(ack)});
       }
@@ -183,6 +177,9 @@ class ByzantineBase : public net::Process {
   int index_;
   std::unique_ptr<net::Process> inner_;
   Ts seen_ts_{0};
+  /// The initial tuple every forged history starts from.
+  WTuple w0_{initial_wtuple(static_cast<std::size_t>(res_.num_objects))};
+  TsrArray::Builder forged_;  ///< scratch for forge_tuple
 };
 
 class Silent final : public ByzantineBase {

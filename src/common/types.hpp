@@ -7,8 +7,11 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,14 +55,106 @@ struct TsVal {
 /// (the paper's tsr[1..R] field). Size R.
 using TsrRow = std::vector<ReaderTs>;
 
+/// The nested form of a tsrarray: entry i is object i's row, or nil
+/// (nullopt). Only a way to build or inspect a TsrArray.
+using TsrRows = std::vector<std::optional<TsrRow>>;
+
 /// The array-of-arrays of reader timestamps the writer collects in its first
 /// (PW) round and embeds into the written tuple (the paper's
-/// "tsrarray[1..S][1..R]"). Entry i is nil (nullopt) when object i's PW_ACK
-/// was not among the S-t the writer awaited.
-using TsrArray = std::vector<std::optional<TsrRow>>;
+/// "tsrarray[1..S][1..R]"). Row i is nil when object i's PW_ACK was not
+/// among the S-t the writer awaited.
+///
+/// Immutable and shared. One heap block holds the row offsets, the nil
+/// bitmap and every reader timestamp (a CSR layout, so the ragged rows a
+/// Byzantine object can put on the wire decode and re-encode byte for
+/// byte), plus a content hash computed when the block is sealed. Copies
+/// share the block: a tuple travels through PW/W messages, object state,
+/// read acks, reader candidates and history slots for a reference count.
+/// Equality tests the block pointer, then the hash, then the contents. A
+/// zero-row array holds no block.
+class TsrArray {
+ public:
+  class Builder;
+
+  TsrArray() = default;
+  /// Seals the nested form.
+  explicit TsrArray(const TsrRows& rows);
+
+  /// Number of rows (S for a writer-made array).
+  [[nodiscard]] std::size_t size() const {
+    return block_ ? static_cast<std::size_t>(block_[kRows]) : 0;
+  }
+  /// Whether row i exists and is not nil.
+  [[nodiscard]] bool has_row(std::size_t i) const {
+    return i < size() && ((bitmap()[i / 64] >> (i % 64)) & 1) != 0;
+  }
+  /// Row i; empty when it is nil or past the end.
+  [[nodiscard]] std::span<const ReaderTs> row(std::size_t i) const {
+    if (!has_row(i)) return {};
+    const std::uint64_t* off = offsets();
+    return {data() + off[i], static_cast<std::size_t>(off[i + 1] - off[i])};
+  }
+  /// Content hash, fixed when the block was sealed (0 for zero rows).
+  [[nodiscard]] std::uint64_t hash() const {
+    return block_ ? block_[kHash] : 0;
+  }
+  /// The nested form (a fresh copy).
+  [[nodiscard]] TsrRows rows() const;
+
+  friend bool operator==(const TsrArray& a, const TsrArray& b);
+
+ private:
+  // Block layout, in 64-bit words: [hash][rows][offsets: rows + 1]
+  // [bitmap: ceil(rows / 64)][reader timestamps]. Row i spans
+  // data()[offsets[i], offsets[i + 1]); a nil row spans nothing.
+  static constexpr std::size_t kHash = 0;
+  static constexpr std::size_t kRows = 1;
+  static constexpr std::size_t kOffsets = 2;
+
+  [[nodiscard]] static std::size_t bitmap_words(std::size_t rows) {
+    return (rows + 63) / 64;
+  }
+  [[nodiscard]] const std::uint64_t* offsets() const {
+    return block_.get() + kOffsets;
+  }
+  [[nodiscard]] const std::uint64_t* bitmap() const {
+    return offsets() + size() + 1;
+  }
+  [[nodiscard]] const ReaderTs* data() const {
+    return bitmap() + bitmap_words(size());
+  }
+  [[nodiscard]] std::size_t words() const {
+    return kOffsets + size() + 1 + bitmap_words(size()) + offsets()[size()];
+  }
+
+  std::shared_ptr<const std::uint64_t[]> block_;
+};
+
+/// Assembles a TsrArray row by row, in any order, then seals it into one
+/// block. Reusable: reset() keeps the scratch capacity, so a writer that
+/// seals one array per WRITE allocates only the sealed block.
+class TsrArray::Builder {
+ public:
+  /// Starts over with `rows` nil rows.
+  void reset(std::size_t rows);
+  /// Makes row i (< rows) a zero-filled row of `len` entries, replacing any
+  /// earlier one, and returns it for filling; valid until the next set().
+  std::span<ReaderTs> set(std::size_t i, std::size_t len);
+  [[nodiscard]] TsrArray seal() const;
+
+ private:
+  struct Slot {
+    std::size_t off{0};
+    std::size_t len{0};
+    bool present{false};
+  };
+  std::vector<Slot> slots_;
+  std::vector<ReaderTs> data_;
+};
 
 /// The full tuple stored in an object's "w" field: <tsval, tsrarray>.
-/// Candidate values in the read protocol range over WTuples.
+/// Candidate values in the read protocol range over WTuples. Copying one
+/// copies the pair and shares the tsrarray block.
 struct WTuple {
   TsVal tsval{};
   TsrArray tsrarray{};
@@ -69,7 +164,7 @@ struct WTuple {
 
 /// Initial tsrarray: all entries nil.
 [[nodiscard]] inline TsrArray init_tsrarray(std::size_t num_objects) {
-  return TsrArray(num_objects);
+  return TsrArray(TsrRows(num_objects));
 }
 
 /// Initial w-field tuple w0 = <<0, bottom>, inittsrarray>.

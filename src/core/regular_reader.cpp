@@ -119,11 +119,9 @@ void RegularReader::add_candidates_from_mirror(std::size_t i) {
     if (!known) {
       const auto j = static_cast<std::size_t>(reader_index_);
       bool accuses = false;
-      for (const auto& row : w.tsrarray) {
-        if (row.has_value() && j < row->size() && (*row)[j] > tsr_first_round_) {
-          accuses = true;
-          break;
-        }
+      for (std::size_t k = 0; k < w.tsrarray.size() && !accuses; ++k) {
+        const auto row = w.tsrarray.row(k);
+        accuses = j < row.size() && row[j] > tsr_first_round_;
       }
       candidates_.push_back(Candidate{w, false, accuses});
       ++diag_.candidates_added;
@@ -195,9 +193,7 @@ bool RegularReader::conflict(std::size_t i, std::size_t k) const {
     if (cand.removed) continue;
     for (const auto& [ts, entry] : h) {
       if (!entry.w.has_value() || !(*entry.w == cand.tuple)) continue;
-      const auto& arr = cand.tuple.tsrarray;
-      if (i >= arr.size() || !arr[i].has_value()) continue;
-      const auto& row = *arr[i];
+      const auto row = cand.tuple.tsrarray.row(i);  // empty when nil
       if (j < row.size() && row[j] > tsr_first_round_) return true;
     }
   }

@@ -28,13 +28,20 @@ SafeReader::SafeReader(const Resilience& res, const Topology& topo,
   RR_ASSERT(reader_index >= 0 && reader_index < res.num_readers);
   RR_ASSERT_MSG(res.num_objects <= 64,
                 "conflict-quorum search uses 64-bit vertex masks");
+  reports_.resize(static_cast<std::size_t>(res.num_objects));
 }
 
 void SafeReader::read(net::Context& ctx, ReadCallback cb) {
   RR_ASSERT_MSG(phase_ == Phase::Idle,
                 "READ invoked while previous READ in progress");
-  // Figure 4 lines 7-10.
-  reports_.assign(static_cast<std::size_t>(res_.num_objects), ObjReports{});
+  // Figure 4 lines 7-10. The per-read sets are emptied in place: their
+  // capacity carries over from read to read.
+  for (auto& rep : reports_) {
+    rep.responded_round1 = false;
+    rep.w_round1.clear();
+    rep.w_any.clear();
+    rep.pw_any.clear();
+  }
   candidates_.clear();
   cb_ = std::move(cb);
   invoked_at_ = ctx.now();
@@ -125,11 +132,8 @@ bool SafeReader::conflict(std::size_t i, std::size_t k) const {
   for (const auto& cand : candidates_) {
     if (cand.removed) continue;
     if (!contains(reports_[k].w_round1, cand.tuple)) continue;
-    const auto& arr = cand.tuple.tsrarray;
-    if (i >= arr.size() || !arr[i].has_value()) continue;
-    const auto& row = *arr[i];
-    if (j >= row.size()) continue;
-    if (row[j] > tsr_first_round_) return true;
+    const auto row = cand.tuple.tsrarray.row(i);  // empty when nil
+    if (j < row.size() && row[j] > tsr_first_round_) return true;
   }
   return false;
 }

@@ -1,5 +1,6 @@
 #include "core/writer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace rr::core {
@@ -16,7 +17,7 @@ void Writer::write(net::Context& ctx, Value v, WriteCallback cb) {
                 "WRITE invoked while previous WRITE in progress");
   // Figure 2 lines 3-5.
   ++ts_;
-  current_tsrarray_ = init_tsrarray(static_cast<std::size_t>(res_.num_objects));
+  current_tsrarray_.reset(static_cast<std::size_t>(res_.num_objects));
   pw_ = TsVal{ts_, std::move(v)};
   pw_acked_.assign(static_cast<std::size_t>(res_.num_objects), false);
   w_acked_.assign(static_cast<std::size_t>(res_.num_objects), false);
@@ -54,14 +55,14 @@ void Writer::handle_pw_ack(net::Context& ctx, ProcessId from,
   // object may report a row of the wrong width; normalize to R entries
   // (missing entries read as 0, i.e. "no conflict evidence") so that
   // downstream indexing is total.
-  TsrRow row = m.tsr;
-  row.resize(static_cast<std::size_t>(topo_.num_readers()), 0);
-  current_tsrarray_[i] = std::move(row);
+  const auto row = current_tsrarray_.set(
+      i, static_cast<std::size_t>(topo_.num_readers()));
+  std::copy_n(m.tsr.begin(), std::min(m.tsr.size(), row.size()), row.begin());
 
   if (pw_ack_count_ >= res_.quorum()) {
-    // Figure 2 lines 7-8: snapshot the harvested rows into the tuple and
-    // enter the W round.
-    w_ = WTuple{pw_, current_tsrarray_};
+    // Figure 2 lines 7-8: seal the harvested rows into the tuple and enter
+    // the W round; every W message and the next write's PW share it.
+    w_ = WTuple{pw_, current_tsrarray_.seal()};
     phase_ = Phase::W;
     rounds_ = 2;
     for (int k = 0; k < res_.num_objects; ++k) {

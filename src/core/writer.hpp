@@ -55,7 +55,7 @@ class Writer : public WriterClient {
 
   // Per-operation state.
   Phase phase_{Phase::Idle};
-  TsrArray current_tsrarray_;
+  TsrArray::Builder current_tsrarray_;  ///< sealed into w_ once per WRITE
   std::vector<bool> pw_acked_;
   std::vector<bool> w_acked_;
   int pw_ack_count_{0};

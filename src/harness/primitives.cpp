@@ -104,11 +104,11 @@ void reorder(const FaultEvent& ev, DeploymentOptions& o) {
   o.link_faults.reorder_delay = ev.period;
 }
 
-FaultEdges at_start(const FaultEvent& ev, Time, std::uint64_t) {
-  return {{ev.at, true}};
+FaultEdges at_start(const FaultEvent& ev, Time now, std::uint64_t) {
+  return {{now + ev.at, true}};
 }
-FaultEdges window(const FaultEvent& ev, Time, std::uint64_t) {
-  return {{ev.at, true}, {ev.at + ev.duration, false}};
+FaultEdges window(const FaultEvent& ev, Time now, std::uint64_t) {
+  return {{now + ev.at, true}, {now + ev.at + ev.duration, false}};
 }
 /// A window that stays open for good when its duration is 0.
 FaultEdges open_window(const FaultEvent& ev, Time now, std::uint64_t seed) {
@@ -120,7 +120,6 @@ FaultEdges open_window(const FaultEvent& ev, Time now, std::uint64_t seed) {
 /// released: a final release closes the last cycle at the window's end.
 FaultEdges flap(const FaultEvent& ev, Time now, std::uint64_t seed) {
   FaultEdges out;
-  if (ev.held.empty()) return out;
   const Time end = now + ev.at + ev.duration;
   const auto held_span = static_cast<Time>(static_cast<double>(ev.period) *
                                            std::clamp(ev.rate, 0.05, 0.95));

@@ -88,13 +88,18 @@ class EdgeSequencer {
 void inject(const FaultEvent& ev, Deployment& d, std::uint64_t seed) {
   const Primitive& p = primitive_of(ev);
   if (p.apply == nullptr) return;
-  // Targets: the objects of an objs= list, else one object or the role's
-  // client on every shard (the writer, or reader `object` of each shard).
+  // Targets: the objects of an objs= list (every object for objs=all),
+  // else one object or the role's client on every shard (the writer, or
+  // reader `object` of each shard).
   std::vector<ProcessId> pids;
   const bool by_objs = std::any_of(
       p.keys.begin(), p.keys.end(),
       [](const PrimitiveKey& k) { return k.type == KeyType::Objects; });
-  if (by_objs) {
+  if (by_objs && ev.held.empty()) {  // objs=all
+    for (int o = 0; o < d.res().num_objects; ++o) {
+      pids.push_back(d.object_pid(o));
+    }
+  } else if (by_objs) {
     for (const int o : ev.held) pids.push_back(d.object_pid(o));
   } else if (ev.role == Role::Object) {
     pids.push_back(d.object_pid(ev.object));

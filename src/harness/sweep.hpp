@@ -80,9 +80,9 @@ struct FaultEvent {
   adversary::StrategyKind strategy{adversary::StrategyKind::Silent};
   Time at{0};        ///< Crash: crash time; windowed kinds: window start
   Time duration{0};  ///< window length (0 = open-ended where legal)
-  /// Hold/Partition*/Flap: object indices isolated together.
-  /// Loss/Duplicate/Reorder: scope -- only channels adjacent to one of
-  /// these objects are faulty (empty = every channel).
+  /// Hold/Partition*/Flap: object indices isolated together (empty = every
+  /// object). Loss/Duplicate/Reorder: scope -- only channels adjacent to
+  /// one of these objects are faulty (empty = every channel).
   std::vector<int> held;
   double rate{0};      ///< Loss/Duplicate/Reorder p; Gray factor; Flap duty
   Time period{0};      ///< Flap cycle length; Reorder extra delay

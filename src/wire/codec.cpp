@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 
 namespace rr::wire {
@@ -114,6 +115,7 @@ class ByteReader {
 
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == in_.size(); }
   [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] std::size_t remaining() const { return in_.size() - pos_; }
 
  private:
   template <class T>
@@ -155,7 +157,7 @@ void put(W& w, const TsVal& v) {
 bool get(ByteReader& r, TsVal& v) { return r.u64(v.ts) && r.bytes(v.val); }
 
 template <class W>
-void put(W& w, const TsrRow& row) {
+void put(W& w, std::span<const ReaderTs> row) {
   w.u32(static_cast<std::uint32_t>(row.size()));
   for (auto x : row) w.u64(x);
 }
@@ -176,28 +178,33 @@ bool get(ByteReader& r, TsrRow& row) {
 template <class W>
 void put(W& w, const TsrArray& arr) {
   w.u32(static_cast<std::uint32_t>(arr.size()));
-  for (const auto& entry : arr) {
-    w.u8(entry.has_value() ? 1 : 0);
-    if (entry) put(w, *entry);
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    w.u8(arr.has_row(i) ? 1 : 0);
+    if (arr.has_row(i)) put(w, arr.row(i));
   }
 }
 
+/// Decodes straight into one sealed block. The builder is per thread and
+/// keeps its capacity, so a decoded tuple costs one allocation; every
+/// count is checked against the bytes left before anything is sized.
 bool get(ByteReader& r, TsrArray& arr) {
+  thread_local TsrArray::Builder b;
   std::uint32_t n = 0;
-  if (!r.u32(n) || n > kMaxElems) return false;
-  arr.clear();
-  arr.reserve(n);
+  if (!r.u32(n) || n > kMaxElems || n > r.remaining()) return false;
+  b.reset(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint8_t flag = 0;
     if (!r.u8(flag) || flag > 1) return false;
-    if (flag) {
-      TsrRow row;
-      if (!get(r, row)) return false;
-      arr.emplace_back(std::move(row));
-    } else {
-      arr.emplace_back(std::nullopt);
+    if (flag == 0) continue;
+    std::uint32_t len = 0;
+    if (!r.u32(len) || len > kMaxElems || len > r.remaining() / 8) {
+      return false;
+    }
+    for (auto& x : b.set(i, len)) {
+      if (!r.u64(x)) return false;
     }
   }
+  arr = b.seal();
   return true;
 }
 

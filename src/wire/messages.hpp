@@ -105,15 +105,17 @@ struct HistEntry {
 /// O(1) moves) is the hot-path representation. The interface mirrors the
 /// std::map subset the protocol code uses; writes keep the vector sorted.
 ///
-/// The ring exists for the steady state of a garbage-collected regular
-/// object (append at the back, collect at the front, forever):
+/// A slot owns no heap memory beyond its value strings: its w-tuple shares
+/// the writer's sealed tsrarray block. The ring serves the steady state of
+/// a garbage-collected history (append at the back, collect at the front,
+/// forever):
 ///   - erasing a prefix advances `head_` -- O(erased), the retained suffix
-///     never moves -- and *parks* the erased slots' payloads;
-///   - appending prefers a parked payload over a fresh allocation, and when
-///     the buffer fills it compacts the dead prefix away instead of growing,
-///   so a bounded history appends without allocating or copying retained
-///   slots. put_pw/put_w/merge additionally reuse the parked string/vector
-///   capacity *inside* payloads, which is where the real bytes live.
+///     never moves -- and drops the erased slots' payloads at once;
+///   - an insert that finds the buffer full compacts the dead prefix away
+///     instead of growing, in order or not (late acks and forged slots
+///     land out of order),
+///   so the buffer is bounded by the live slots and a bounded history
+///   writes without allocating or copying retained slots.
 class History {
  public:
   using value_type = std::pair<Ts, HistEntry>;
@@ -128,8 +130,8 @@ class History {
   /// ship history suffixes, Section 5.1).
   History(const_iterator first, const_iterator last) : v_(first, last) {}
 
-  // Value semantics see only the live slots: copies drop the dead prefix
-  // and the recycling pools, moves carry the whole arena.
+  // Value semantics see only the live slots: copies drop the dead prefix,
+  // moves carry the whole buffer.
   History(const History& o) : v_(o.begin(), o.end()) {}
   History(History&&) noexcept = default;
   History& operator=(const History& o) {
@@ -145,9 +147,6 @@ class History {
   [[nodiscard]] std::size_t size() const { return v_.size() - head_; }
   [[nodiscard]] bool empty() const { return v_.size() == head_; }
   void clear() {
-    for (auto it = v_.begin() + live_off(); it != v_.end(); ++it) {
-      spare_.push_back(std::move(it->second));
-    }
     v_.clear();
     head_ = 0;
   }
@@ -176,11 +175,7 @@ class History {
   [[nodiscard]] bool contains(Ts ts) const { return find(ts) != v_.end(); }
 
   /// Entry at slot `ts`, inserted (default-constructed) if absent.
-  HistEntry& operator[](Ts ts) {
-    auto [e, created] = upsert(ts);
-    if (created) reset_entry(*e);  // recycled slots carry stale payloads
-    return *e;
-  }
+  HistEntry& operator[](Ts ts) { return *upsert(ts).first; }
 
   [[nodiscard]] const HistEntry& at(Ts ts) const {
     auto it = find(ts);
@@ -192,43 +187,22 @@ class History {
   /// semantics); returns whether the insertion happened.
   bool emplace(Ts ts, HistEntry entry) {
     auto [e, created] = upsert(ts);
-    if (!created) return false;
-    reset_entry(*e);
-    *e = std::move(entry);
-    return true;
+    if (created) *e = std::move(entry);
+    return created;
   }
 
-  /// Writer PW round: slot `ts` becomes <pw, nil>. The previous occupant's
-  /// w-tuple (recycled slot or overwrite) is parked, not destroyed, and the
-  /// pw assignment reuses the slot's string capacity: steady-state writes
-  /// allocate nothing.
+  /// Writer PW round: slot `ts` becomes <pw, nil>.
   void put_pw(Ts ts, const TsVal& pw) {
-    auto [e, created] = upsert(ts);
-    (void)created;
-    if (!e->pw) e->pw.emplace();
-    *e->pw = pw;
-    if (e->w) {
-      wspare_.push_back(std::move(*e->w));
-      e->w.reset();
-    }
+    HistEntry& e = *upsert(ts).first;
+    e.pw = pw;
+    e.w.reset();
   }
 
-  /// Completed slot: `ts` becomes <pw, w>, reusing parked w-tuple capacity
-  /// when the slot's w is nil (the PW->W transition of the current write).
+  /// Completed slot: `ts` becomes <pw, w>.
   void put_w(Ts ts, const TsVal& pw, const WTuple& w) {
-    auto [e, created] = upsert(ts);
-    (void)created;
-    if (!e->pw) e->pw.emplace();
-    *e->pw = pw;
-    if (!e->w) {
-      if (!wspare_.empty()) {
-        e->w.emplace(std::move(wspare_.back()));
-        wspare_.pop_back();
-      } else {
-        e->w.emplace();
-      }
-    }
-    *e->w = w;
+    HistEntry& e = *upsert(ts).first;
+    e.pw = pw;
+    e.w = w;
   }
 
   /// Monotone slot-wise union, used by reader-side history mirrors: every
@@ -238,35 +212,21 @@ class History {
   /// or replayed delta and must not punch holes into the mirror.
   void merge(const History& delta) {
     for (const auto& [ts, src] : delta) {
-      auto [e, created] = upsert(ts);
-      if (created) reset_entry(*e);
-      if (src.pw) {
-        if (!e->pw) e->pw.emplace();
-        *e->pw = *src.pw;
-      }
-      if (src.w) {
-        if (!e->w) {
-          if (!wspare_.empty()) {
-            e->w.emplace(std::move(wspare_.back()));
-            wspare_.pop_back();
-          } else {
-            e->w.emplace();
-          }
-        }
-        *e->w = *src.w;
-      }
+      HistEntry& e = *upsert(ts).first;
+      if (src.pw) e.pw = src.pw;
+      if (src.w) e.w = src.w;
     }
   }
 
   iterator erase(const_iterator pos) { return erase(pos, pos + 1); }
-  /// Removes [first, last). A prefix erase (the GC case) parks the payloads
+  /// Removes [first, last). A prefix erase (the GC case) empties the slots
   /// and advances the head: O(erased), the retained suffix never moves.
   iterator erase(const_iterator first, const_iterator last) {
     if (first == last) return v_.begin() + (first - v_.cbegin());
     if (first == v_.cbegin() + live_off()) {
       auto f = v_.begin() + (first - v_.cbegin());
       auto l = v_.begin() + (last - v_.cbegin());
-      for (auto it = f; it != l; ++it) spare_.push_back(std::move(it->second));
+      for (auto it = f; it != l; ++it) it->second = HistEntry{};
       head_ = static_cast<std::size_t>(l - v_.begin());
       return l;
     }
@@ -286,44 +246,31 @@ class History {
     return static_cast<std::ptrdiff_t>(head_);
   }
 
-  /// Returns the slot for `ts`, creating it if absent; a *created* slot may
-  /// carry a recycled payload with stale fields that the caller must set.
+  /// Returns the slot for `ts`, creating an empty one if absent.
   std::pair<HistEntry*, bool> upsert(Ts ts) {
-    if (empty() || ts > v_.back().first) return {&append_slot(ts), true};
+    if (empty() || ts > v_.back().first) {
+      compact_if_full();
+      return {&v_.emplace_back(ts, HistEntry{}).second, true};
+    }
     auto it = lower_bound(ts);
     if (it != v_.end() && it->first == ts) return {&it->second, false};
-    it = v_.emplace(it, ts, HistEntry{});  // out-of-order insert: rare
+    if (compact_if_full()) it = lower_bound(ts);
+    it = v_.emplace(it, ts, HistEntry{});  // out of order: late or forged
     return {&it->second, true};
   }
 
-  HistEntry& append_slot(Ts ts) {
-    if (v_.size() == v_.capacity() && head_ > 0) {
-      // Out of room, but the buffer has a dead prefix: compact it away
-      // (O(live) moves, no allocation) instead of growing.
-      v_.erase(v_.begin(), v_.begin() + live_off());
-      head_ = 0;
-    }
-    if (!spare_.empty()) {
-      v_.emplace_back(ts, std::move(spare_.back()));
-      spare_.pop_back();
-    } else {
-      v_.emplace_back(ts, HistEntry{});
-    }
-    return v_.back().second;
-  }
-
-  void reset_entry(HistEntry& e) {
-    e.pw.reset();
-    if (e.w) {
-      wspare_.push_back(std::move(*e.w));
-      e.w.reset();
-    }
+  /// Out of room but holding a dead prefix: moves the live slots down
+  /// (O(live), no allocation) so the insert that follows need not grow the
+  /// buffer. Returns whether it moved anything.
+  bool compact_if_full() {
+    if (v_.size() < v_.capacity() || head_ == 0) return false;
+    v_.erase(v_.begin(), v_.begin() + live_off());
+    head_ = 0;
+    return true;
   }
 
   std::vector<value_type> v_;  ///< slots; the live range is [head_, size())
   std::size_t head_ = 0;       ///< dead-prefix length (front-erased slots)
-  std::vector<HistEntry> spare_;  ///< parked slot payloads, reused on append
-  std::vector<WTuple> wspare_;    ///< parked w-tuples (slots reverting to nil)
 };
 
 /// Object's reply in the *regular* storage: the history suffix from `since`

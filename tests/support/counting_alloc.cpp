@@ -9,9 +9,17 @@
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_frees{0};
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_heap_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 std::uint64_t rr::test::heap_allocs() { return g_heap_allocs.load(); }
+std::uint64_t rr::test::heap_frees() { return g_heap_frees.load(); }
 
 void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -29,11 +37,13 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
   return ::operator new(n, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }

@@ -12,4 +12,9 @@ namespace rr::test {
 /// Heap allocations made through operator new so far in this binary.
 [[nodiscard]] std::uint64_t heap_allocs();
 
+/// Heap blocks returned through operator delete so far in this binary
+/// (deletes of null excluded), so heap_allocs() - heap_frees() is the number
+/// of live blocks.
+[[nodiscard]] std::uint64_t heap_frees();
+
 }  // namespace rr::test

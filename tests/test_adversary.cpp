@@ -88,12 +88,12 @@ TEST(ForgerStrategy, FabricatesHigherCandidate) {
   EXPECT_EQ(ack.w.tsval.val, "FORGED");
   // The fabricated tsrarray must look writer-made: exactly S-t non-nil rows.
   int non_nil = 0;
-  for (const auto& row : ack.w.tsrarray) {
+  for (const auto& row : ack.w.tsrarray.rows()) {
     if (row.has_value()) ++non_nil;
   }
   EXPECT_EQ(non_nil, f.res.quorum());
   // Benign forger rows carry no accusations.
-  for (const auto& row : ack.w.tsrarray) {
+  for (const auto& row : ack.w.tsrarray.rows()) {
     if (row.has_value()) {
       for (const auto v : *row) EXPECT_EQ(v, 0u);
     }
@@ -107,7 +107,7 @@ TEST(AccuserStrategy, RowsAccuseTheRequestingReader) {
   ASSERT_EQ(out.size(), 1u);
   const auto& ack = std::get<wire::ReadAckMsg>(out[0].msg);
   bool accused = false;
-  for (const auto& row : ack.w.tsrarray) {
+  for (const auto& row : ack.w.tsrarray.rows()) {
     if (row.has_value() && row->size() > 1 && (*row)[1] > 1'000'000) {
       accused = true;
     }

@@ -12,9 +12,10 @@ namespace {
 WTuple sample_tuple() {
   WTuple t;
   t.tsval = TsVal{42, "payload"};
-  t.tsrarray = init_tsrarray(4);
-  t.tsrarray[1] = TsrRow{1, 2, 3};
-  t.tsrarray[3] = TsrRow{};
+  TsrRows rows(4);
+  rows[1] = TsrRow{1, 2, 3};
+  rows[3] = TsrRow{};
+  t.tsrarray = TsrArray(rows);
   return t;
 }
 
@@ -213,16 +214,16 @@ TsrRow random_tsr_row(Rng& rng) {
   return row;
 }
 
-TsrArray random_tsrarray(Rng& rng) {
-  TsrArray arr(rng.index(5));
-  for (auto& e : arr) {
+TsrRows random_tsr_rows(Rng& rng) {
+  TsrRows rows(rng.index(5));
+  for (auto& e : rows) {
     if (rng.chance(0.5)) e = random_tsr_row(rng);
   }
-  return arr;
+  return rows;
 }
 
 WTuple random_wtuple(Rng& rng) {
-  return WTuple{random_tsval(rng), random_tsrarray(rng)};
+  return WTuple{random_tsval(rng), TsrArray(random_tsr_rows(rng))};
 }
 
 History random_history(Rng& rng) {
@@ -335,10 +336,12 @@ TEST(CodecTest, EncodedSizeOfDegenerateShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple equality property: over random pairs from the generator above --
-// ragged, empty and nil rows included -- two tuples are equal exactly when
-// their encodings are. Pairs are drawn so that about half are equal:
-// copies, copies of the same rows, and one-edit mutations of either part.
+// Tuple equality property: tuples share sealed tsrarray blocks and compare
+// by pointer, then hash, then contents. Over random pairs from the
+// generator above -- ragged, empty and nil rows included -- two tuples are
+// equal exactly when their encodings are, and equal tuples hash alike.
+// Pairs are drawn so that about half are equal: shared copies, re-sealed
+// copies of the same rows, and one-edit mutations of either part.
 // ---------------------------------------------------------------------------
 
 std::string encode_tuple(const WTuple& t) {
@@ -347,7 +350,7 @@ std::string encode_tuple(const WTuple& t) {
 
 /// `rows` with one small edit: a row toggled nil, an entry changed, an
 /// entry appended, or a row added or dropped.
-TsrArray mutate(TsrArray rows, Rng& rng) {
+TsrRows mutate(TsrRows rows, Rng& rng) {
   const std::size_t i = rows.empty() ? 0 : rng.index(rows.size());
   switch (rng.index(4)) {
     case 0:
@@ -385,18 +388,18 @@ TEST(CodecTest, TupleEqualityMatchesEncodedBytes) {
   constexpr int kPairs = 12'000;
   for (int iter = 0; iter < kPairs; ++iter) {
     const TsVal tsval = random_tsval(rng);
-    const TsrArray rows = random_tsrarray(rng);
-    const WTuple a{tsval, rows};
+    const TsrRows rows = random_tsr_rows(rng);
+    const WTuple a{tsval, TsrArray(rows)};
     WTuple b;
     switch (rng.index(5)) {
       case 0:
-        b = a;
+        b = a;  // shares a's block
         break;
       case 1:
-        b = WTuple{tsval, rows};  // same rows, its own copy
+        b = WTuple{tsval, TsrArray(rows)};  // same rows, its own block
         break;
       case 2:
-        b = WTuple{tsval, mutate(rows, rng)};
+        b = WTuple{tsval, TsrArray(mutate(rows, rng))};
         break;
       case 3:
         b = WTuple{TsVal{tsval.ts + rng.index(2), random_value(rng)},
@@ -409,13 +412,17 @@ TEST(CodecTest, TupleEqualityMatchesEncodedBytes) {
     const bool same_bytes = encode_tuple(a) == encode_tuple(b);
     ASSERT_EQ(a == b, same_bytes) << "iter " << iter;
     ASSERT_EQ(b == a, same_bytes) << "iter " << iter;
-    if (a == b) ++equal;
-    // A decoded copy has the same contents.
+    if (a == b) {
+      ++equal;
+      ASSERT_EQ(a.tsrarray.hash(), b.tsrarray.hash()) << "iter " << iter;
+    }
+    // A decoded copy is a fresh block with the same contents.
     const auto back = decode(encode_tuple(b));
     ASSERT_TRUE(back.has_value()) << "iter " << iter;
     const WTuple& c = std::get<ReadAckMsg>(*back).w;
     ASSERT_EQ(c, b) << "iter " << iter;
-    ASSERT_EQ(c.tsrarray, b.tsrarray) << "iter " << iter;
+    ASSERT_EQ(c.tsrarray.hash(), b.tsrarray.hash()) << "iter " << iter;
+    ASSERT_EQ(c.tsrarray.rows(), b.tsrarray.rows()) << "iter " << iter;
   }
   EXPECT_GT(equal, kPairs / 4);
   EXPECT_LT(equal, 3 * kPairs / 4);

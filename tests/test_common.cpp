@@ -26,7 +26,9 @@ TEST(WTupleTest, EqualityIncludesTsrArray) {
   WTuple a{TsVal{1, "v"}, init_tsrarray(3)};
   WTuple b = a;
   EXPECT_EQ(a, b);
-  b.tsrarray[0] = TsrRow{7};
+  TsrRows rows = a.tsrarray.rows();
+  rows[0] = TsrRow{7};
+  b.tsrarray = TsrArray(rows);
   EXPECT_NE(a, b);
 }
 
@@ -34,7 +36,7 @@ TEST(InitialWTupleTest, HasBottomAndAllNilRows) {
   const WTuple w0 = initial_wtuple(4);
   EXPECT_TRUE(w0.tsval.is_bottom());
   ASSERT_EQ(w0.tsrarray.size(), 4u);
-  for (const auto& row : w0.tsrarray) EXPECT_FALSE(row.has_value());
+  for (const auto& row : w0.tsrarray.rows()) EXPECT_FALSE(row.has_value());
 }
 
 TEST(ResilienceTest, OptimalMatchesPaperBound) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "harness/deployment.hpp"
+#include "harness/primitives.hpp"
 #include "harness/protocol.hpp"
 #include "harness/scenario_dsl.hpp"
 #include "harness/sweep.hpp"
@@ -327,6 +328,62 @@ TEST(FaultPrimitives, ClockSkewIsDesOnly) {
   const CellVerdict a = SweepEngine::run_cell(with_skew);
   EXPECT_TRUE(a.ok) << a.first_violation;  // skew is legal: safety holds
   EXPECT_EQ(a.fingerprint, SweepEngine::run_cell(with_skew).fingerprint);
+}
+
+// `objs=all` is the empty object list. The link faults read it as every
+// channel; hold, partition and flap must read it as every object, exactly
+// like the line that lists them all, and it still emits as `objs=all`.
+TEST(FaultPrimitives, ObjsAllReachesEveryObject) {
+  const auto run = [](const std::string& fault) {
+    const auto parsed = parse_scenario(
+        "scenario safe des name=all\nbudget t=1 b=1 readers=1\n"
+        "runseed 7\n" +
+        fault + "\n");
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    return parsed.scenario;
+  };
+  const std::uint64_t no_fault =
+      SweepEngine::run_cell(run("")).fingerprint;
+  for (const std::string shape :
+       {"fault hold objs=@ at=0 dur=200000",
+        "fault partition objs=@ dir=in at=0 dur=200000",
+        "fault flap objs=@ at=0 dur=200000 period=20000 duty=0.5"}) {
+    const auto line = [&shape](const std::string& objs) {
+      std::string l = shape;
+      return l.replace(l.find('@'), 1, objs);
+    };
+    const Scenario all = run(line("all"));
+    EXPECT_NE(emit_scenario(all).find("objs=all"), std::string::npos);
+    const std::uint64_t fp_all = SweepEngine::run_cell(all).fingerprint;
+    EXPECT_EQ(fp_all, SweepEngine::run_cell(run(line("0,1,2,3"))).fingerprint)
+        << shape;
+    EXPECT_NE(fp_all, no_fault) << shape;
+  }
+}
+
+// Every timed edge is absolute on the backend clock, counted from the clock
+// at injection: on threads and net that clock has run for a while before a
+// cell's faults go in, and an edge before it would fire at once.
+TEST(FaultPrimitives, EdgesStartAtTheBackendClock) {
+  constexpr Time kNow = 536'000;
+  int rows = 0;
+  for (const Primitive& p : primitives()) {
+    if (p.edges == nullptr) continue;
+    ++rows;
+    FaultEvent ev;
+    ev.kind = p.kind;
+    if (p.client) ev.role = Role::Writer;
+    ev.held = {0};
+    ev.at = 500;
+    ev.duration = 2'000;
+    ev = with_defaults(ev);
+    const FaultEdges edges = p.edges(ev, kNow, /*seed=*/7);
+    ASSERT_FALSE(edges.empty()) << p.label;
+    for (const auto& [at, on] : edges) {
+      EXPECT_GE(at, kNow + ev.at) << p.label << (on ? " on" : " off");
+    }
+  }
+  EXPECT_GE(rows, 6);  // crash, hold, both partitions, flap, both grays
 }
 
 // A threads cell whose fault plan stalls its quorums degrades to a liveness

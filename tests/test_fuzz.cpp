@@ -146,9 +146,9 @@ std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
 constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
 
 // The fuzzer's draw stream, pinned: the emitted text of every batch CI
-// generates (and of the 10k round-trip batch above) hashes to the value
-// recorded before the fault-primitive table replaced the hand-written
-// draws. Any change to what a seed generates -- a reordered draw, a new
+// generates (and of the 10k round-trip batch above) hashes to its recorded
+// value; all but the regular-protocol batch were recorded before the
+// fault-primitive table replaced the hand-written draws. Any change to what a seed generates -- a reordered draw, a new
 // pool entry, a different default -- changes the hash. A deliberate change
 // re-records these values and says why.
 TEST(Fuzz, CiBatchesKeepTheirText) {
@@ -172,6 +172,8 @@ TEST(Fuzz, CiBatchesKeepTheirText) {
        0x44cde68fc3a5d2e4ULL},
       {"seed=1 count=192 --protocols=safe,auth", 1, 192, 0.0,
        {Protocol::Safe, Protocol::Auth}, {}, 0xb04079101abd240cULL},
+      {"seed=1 count=96 --protocols=regular,regular-opt", 1, 96, 0.0,
+       {Protocol::Regular, Protocol::RegularOptimized}, {}, 0xbf670d4ff25c0fc2ULL},
       {"seed=0xfeed count=10000 overload=0.1", 0xfeed, 10'000, 0.1, {}, {},
        0x1e6783100a19361aULL},
   };

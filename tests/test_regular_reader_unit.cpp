@@ -220,7 +220,9 @@ TEST(RegularReaderUnit, ConflictViaHistoryTuple) {
   WTuple accusing = h.tuple(4, "x");
   TsrRow row(1, 0);
   row[0] = 1'000'000'000;
-  accusing.tsrarray[0] = std::move(row);
+  TsrRows rows = accusing.tsrarray.rows();
+  rows[0] = std::move(row);
+  accusing.tsrarray = TsrArray(rows);
   wire::History evil = h.full_history(0);
   evil[4] = wire::HistEntry{TsVal{4, "x"}, accusing};
   h.ack(0, 1, h.round1_tsr_, h.full_history(0));

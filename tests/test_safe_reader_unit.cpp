@@ -66,7 +66,9 @@ class ReaderHarness {
     WTuple t = tuple(ts, v);
     TsrRow row(1, 0);
     row[0] = claimed;
-    t.tsrarray[static_cast<std::size_t>(accused)] = std::move(row);
+    TsrRows rows = t.tsrarray.rows();
+    rows[static_cast<std::size_t>(accused)] = std::move(row);
+    t.tsrarray = TsrArray(rows);
     return t;
   }
 
@@ -242,8 +244,9 @@ TEST(SafeReaderUnit, MalformedTsrArrayCannotCrashConflictCheck) {
   // Candidate with absurd tsrarray shapes: too small, rows of wrong width.
   WTuple weird;
   weird.tsval = TsVal{4, "w"};
-  weird.tsrarray.resize(2);           // shorter than S
-  weird.tsrarray[1] = TsrRow{};       // empty row (no reader slots)
+  TsrRows rows(2);         // shorter than S
+  rows[1] = TsrRow{};      // empty row (no reader slots)
+  weird.tsrarray = TsrArray(rows);
   h.ack(0, 1, h.round1_tsr_, TsVal{4, "w"}, weird);
   h.ack(1, 1, h.round1_tsr_, TsVal{4, "w"}, weird);
   h.ack(2, 1, h.round1_tsr_, TsVal{4, "w"}, weird);

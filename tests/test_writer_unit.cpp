@@ -69,11 +69,11 @@ TEST(WriterUnit, HarvestedRowsLandInTheTuple) {
   // Quorum reached: the W broadcast must embed exactly those rows.
   ASSERT_EQ(sent.size(), 4u);
   const auto& w = std::get<wire::WMsg>(sent[0].msg);
-  ASSERT_TRUE(w.w.tsrarray[0].has_value());
-  EXPECT_EQ(*w.w.tsrarray[0], (TsrRow{10, 20}));
-  EXPECT_EQ(*w.w.tsrarray[1], (TsrRow{30, 40}));
-  EXPECT_FALSE(w.w.tsrarray[2].has_value()) << "object 2 never acked";
-  EXPECT_EQ(*w.w.tsrarray[3], (TsrRow{50, 60}));
+  ASSERT_TRUE(w.w.tsrarray.rows()[0].has_value());
+  EXPECT_EQ(*w.w.tsrarray.rows()[0], (TsrRow{10, 20}));
+  EXPECT_EQ(*w.w.tsrarray.rows()[1], (TsrRow{30, 40}));
+  EXPECT_FALSE(w.w.tsrarray.rows()[2].has_value()) << "object 2 never acked";
+  EXPECT_EQ(*w.w.tsrarray.rows()[3], (TsrRow{50, 60}));
 }
 
 TEST(WriterUnit, CompletesAfterQuorumOfWAcks) {
@@ -118,9 +118,9 @@ TEST(WriterUnit, MalformedRowsAreNormalized) {
   const auto sent = h.ack(2, wire::PwAckMsg{1, TsrRow{7, 8}});
   ASSERT_EQ(sent.size(), 4u);
   const auto& w = std::get<wire::WMsg>(sent[0].msg);
-  EXPECT_EQ(w.w.tsrarray[0]->size(), 2u) << "truncated to R";
-  EXPECT_EQ(w.w.tsrarray[1]->size(), 2u) << "padded to R";
-  EXPECT_EQ((*w.w.tsrarray[1])[0], 0u);
+  EXPECT_EQ(w.w.tsrarray.rows()[0]->size(), 2u) << "truncated to R";
+  EXPECT_EQ(w.w.tsrarray.rows()[1]->size(), 2u) << "padded to R";
+  EXPECT_EQ((*w.w.tsrarray.rows()[1])[0], 0u);
 }
 
 TEST(WriterUnit, SecondWriteCarriesFirstTuple) {
@@ -134,8 +134,8 @@ TEST(WriterUnit, SecondWriteCarriesFirstTuple) {
   EXPECT_EQ(pw.ts, 2u);
   EXPECT_EQ(pw.w.tsval, (TsVal{1, "v1"}))
       << "the PW of write 2 commits write 1's tuple";
-  ASSERT_TRUE(pw.w.tsrarray[0].has_value());
-  EXPECT_EQ(*pw.w.tsrarray[0], (TsrRow{3, 4}));
+  ASSERT_TRUE(pw.w.tsrarray.rows()[0].has_value());
+  EXPECT_EQ(*pw.w.tsrarray.rows()[0], (TsrRow{3, 4}));
 }
 
 TEST(WriterUnit, FreshTsrArrayPerWrite) {
@@ -150,8 +150,8 @@ TEST(WriterUnit, FreshTsrArrayPerWrite) {
   h.ack(0, wire::PwAckMsg{2, TsrRow{2, 2}});
   const auto sent = h.ack(1, wire::PwAckMsg{2, TsrRow{3, 3}});
   const auto& w = std::get<wire::WMsg>(sent[0].msg);
-  EXPECT_FALSE(w.w.tsrarray[2].has_value());
-  EXPECT_EQ(*w.w.tsrarray[3], (TsrRow{1, 1}));
+  EXPECT_FALSE(w.w.tsrarray.rows()[2].has_value());
+  EXPECT_EQ(*w.w.tsrarray.rows()[3], (TsrRow{1, 1}));
 }
 
 TEST(WriterUnit, AcksFromNonObjectsIgnored) {
